@@ -13,11 +13,18 @@ RPTR2 column sections straight into a column-backed
 ``Instr``, the timing model consumes the packed columns and the memoized
 segment list directly, and freshly generated traces are columnarised
 once and reuse that form for both serialisation and simulation.
+
+Trace generation populates each benchmark once per ``(seed, init_ops,
+heap size)``, under ``LOG``, and forks every persistence mode's timed
+run from that warm snapshot (the paper's untimed #InitOps, run once per
+benchmark instead of once per bar); see :func:`generate_trace`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -29,8 +36,8 @@ from repro.stats.run import RunStats
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import simulate
-from repro.workloads.base import Workbench
-from repro.workloads.registry import PAPER_SPECS, WORKLOADS
+from repro.workloads.base import PersistentWorkload, Workbench
+from repro.workloads.registry import PAPER_SPECS, WORKLOADS, BenchmarkSpec
 
 
 @dataclass(frozen=True)
@@ -52,38 +59,123 @@ class TraceKey:
     contention: float = 0.0
 
 
+@dataclass
+class _Populated:
+    """A benchmark built and populated under ``LOG``, and never run on.
+
+    Its heap is truncated to the allocator's high-water mark: nothing is
+    stored above it, so the rest is zero and each fork gets it back from
+    a fresh heap.
+    """
+
+    bench: Workbench
+    workload: PersistentWorkload
+
+
 _TRACE_CACHE: Dict[TraceKey, Trace] = {}
 _STATS_CACHE: Dict[Tuple[TraceKey, MachineConfig], RunStats] = {}
+#: Warm snapshots by ``(abbrev, seed, init_ops, heap_size)``, oldest first.
+_POPULATED: Dict[Tuple[str, int, int, Optional[int]], _Populated] = {}
+#: Heap-image bytes :data:`_POPULATED` may hold in all: one default heap.
+#: A larger snapshot (paper scale) is used once and dropped, so every
+#: mode re-populates rather than the memo growing the resident set.
+_POPULATED_BUDGET = 1 << 26
+#: The most recent multi-core cell's per-core traces.  Figure 15 runs
+#: each cell on two machines back to back; keeping every cell's traces
+#: would hold megabytes that nothing reads again.
+_SYSTEM_TRACES: Dict[TraceKey, List[Trace]] = {}
+#: Guards the two memos above, which evict as they insert: threaded
+#: workers and ``serve`` generate traces from concurrent threads.
+_MEMO_LOCK = threading.Lock()
 
 
 def clear_trace_cache() -> None:
-    """Drop the in-process traces and simulation results (tests use this).
+    """Drop the in-process traces, warm snapshots and simulation results
+    (tests use this).
 
     The persistent on-disk cache is left alone; see
     :func:`repro.harness.cache.clear_cache` for that.
     """
     _TRACE_CACHE.clear()
     _STATS_CACHE.clear()
+    with _MEMO_LOCK:
+        _POPULATED.clear()
+        _SYSTEM_TRACES.clear()
 
 
 def generate_trace(key: TraceKey) -> Trace:
-    """Run the functional workload for *key* and return its trace (uncached)."""
+    """Run the functional workload for *key* and return its trace.
+
+    The timed run forks from the benchmark's warm snapshot
+    (:func:`_populated`), so the four modes of a benchmark populate it
+    once; the trace is the same as that of a fresh :class:`Workbench`
+    built and populated under ``key.mode``.
+    """
     if key.cores != 1:
         raise ValueError("multi-core cells have one trace per core; use run_system")
     spec = PAPER_SPECS[key.abbrev]
     init_ops = spec.scaled_init_ops if key.init_ops is None else key.init_ops
     sim_ops = spec.scaled_sim_ops if key.sim_ops is None else key.sim_ops
-    kwargs = {}
+    heap_size = None
     if (init_ops, sim_ops) == (spec.paper_init_ops, spec.paper_sim_ops):
         # the paper tier outgrows the default heap (nodes are never
         # eagerly reclaimed); the size is fixed per workload in the
         # registry, so the trace stays a pure function of the key
-        kwargs["heap_size"] = spec.paper_heap_bytes
-    bench = Workbench(mode=key.mode, record=True, seed=key.seed, **kwargs)
-    workload = spec.build(bench)
-    workload.populate(init_ops)
+        heap_size = spec.paper_heap_bytes
+    snapshot = _populated(spec, key.seed, init_ops, heap_size)
+    bench, workload = _fork(snapshot, key.mode)
     workload.run(sim_ops)
     return bench.trace
+
+
+def _populated(
+    spec: BenchmarkSpec, seed: int, init_ops: int, heap_size: Optional[int]
+) -> _Populated:
+    """The warm snapshot of *spec* (memoized; ``sim_ops`` plays no part).
+
+    It is populated under ``LOG``: populate stores the same heap in every
+    mode except for the undo-log region, which ``BASE`` leaves zero and a
+    fork can zero again, while the stale log entries the logged modes
+    leave behind cannot be rebuilt from a ``BASE`` heap.
+    """
+    memo_key = (spec.abbrev, seed, init_ops, heap_size)
+    snapshot = _POPULATED.get(memo_key)
+    if snapshot is not None:
+        return snapshot
+    kwargs = {} if heap_size is None else {"heap_size": heap_size}
+    bench = Workbench(mode=PersistMode.LOG, record=True, seed=seed, **kwargs)
+    with bench.untimed():
+        # populate's finish_init drops constructor-time stores anyway
+        workload = spec.build(bench)
+    workload.populate(init_ops)
+    bench.heap.truncate(bench.alloc.high_water_mark)
+    snapshot = _Populated(bench, workload)
+    size = bench.heap.image_bytes
+    if size <= _POPULATED_BUDGET:
+        with _MEMO_LOCK:
+            while size + sum(
+                kept.bench.heap.image_bytes for kept in _POPULATED.values()
+            ) > _POPULATED_BUDGET:
+                del _POPULATED[next(iter(_POPULATED))]
+            _POPULATED[memo_key] = snapshot
+    return snapshot
+
+
+def _fork(
+    snapshot: _Populated, mode: PersistMode
+) -> Tuple[Workbench, PersistentWorkload]:
+    """A private copy of *snapshot*'s benchmark, switched to *mode*."""
+    heap = snapshot.bench.heap.clone()
+    bench, workload = copy.deepcopy(
+        (snapshot.bench, snapshot.workload), {id(snapshot.bench.heap): heap}
+    )
+    heap.attach(bench.recorder)
+    bench.mode = bench.persist.mode = mode
+    if not mode.logging:
+        # what a BASE populate leaves: a log no transaction has touched
+        bench.tx.log.erase()
+        bench.tx.stats.entries_logged = bench.tx.stats.bytes_logged = 0
+    return bench, workload
 
 
 def trace_for_key(key: TraceKey) -> Trace:
@@ -193,21 +285,29 @@ def system_result(
     init_ops: Optional[int] = None,
     sim_ops: Optional[int] = None,
 ):
-    """Generate a concurrent run and co-simulate it (uncached).
+    """Co-simulate a concurrent run on *config* (uncached).
 
     Returns the full :class:`~repro.uarch.system.SystemResult` with
     per-core stats and conflict counters; :func:`run_system` is the
-    cached aggregate view.
+    cached aggregate view.  The run's traces are generated once for
+    consecutive calls on the same cell (other *config*), and kept for
+    the most recent cell only.
     """
     from repro.uarch.system import simulate_system
     from repro.workloads.concurrent import generate_concurrent
 
     config = config or MachineConfig()
-    run = generate_concurrent(
-        abbrev, mode, n_cores=cores, contention=contention, seed=seed,
-        init_ops=init_ops, sim_ops=sim_ops,
-    )
-    return simulate_system(run.traces, config)
+    key = TraceKey(abbrev, mode, seed, init_ops, sim_ops, cores, contention)
+    traces = _SYSTEM_TRACES.get(key)
+    if traces is None:
+        traces = generate_concurrent(
+            abbrev, mode, n_cores=cores, contention=contention, seed=seed,
+            init_ops=init_ops, sim_ops=sim_ops,
+        ).traces
+        with _MEMO_LOCK:
+            _SYSTEM_TRACES.clear()
+            _SYSTEM_TRACES[key] = traces
+    return simulate_system(traces, config)
 
 
 def run_system(

@@ -139,6 +139,14 @@ class _WorkerHandler(BaseHTTPRequestHandler):
             self._reply_json(404, {"ok": False, "error": "not found"})
             return
         state = self.server.state
+        with state.lock:
+            spent = state.max_jobs is not None and state.jobs_done >= state.max_jobs
+        if spent:
+            # the listener closes a moment after the last allowed job;
+            # a job arriving in between is dropped as a stopped worker
+            # would drop it, never served
+            self.close_connection = True
+            return
         try:
             length = int(self.headers.get("Content-Length", "0"))
             blob = self.rfile.read(length)

@@ -12,6 +12,7 @@ and never handed out by the allocator.
 
 from __future__ import annotations
 
+import mmap
 from typing import List, Optional, Protocol
 
 #: Cache-block size used throughout the reproduction (paper Table 2).
@@ -33,13 +34,17 @@ class NVMHeap:
     ----------
     size:
         Region size in bytes.  Must be a multiple of :data:`CACHE_BLOCK`.
+
+    The bytes live in a private anonymous mapping: its pages read as zero
+    and take no memory until first written, so a heap costs what its
+    structure fills, not its size.
     """
 
     def __init__(self, size: int = 1 << 24):
         if size <= 0 or size % CACHE_BLOCK:
             raise ValueError("heap size must be a positive multiple of the block size")
         self.size = size
-        self._data = bytearray(size)
+        self._data = _zeroed(size)
         self._observers: List[MemoryObserver] = []
 
     # ------------------------------------------------------------------
@@ -57,7 +62,7 @@ class NVMHeap:
     # ------------------------------------------------------------------
     def raw_read(self, addr: int, size: int) -> bytes:
         self._check(addr, size)
-        return bytes(self._data[addr : addr + size])
+        return self._data[addr : addr + size]
 
     def raw_write(self, addr: int, payload: bytes) -> None:
         self._check(addr, len(payload))
@@ -95,7 +100,7 @@ class NVMHeap:
             chunk = min(8, size - offset)
             for obs in self._observers:
                 obs.load(addr + offset, chunk, meta)
-        return bytes(self._data[addr : addr + size])
+        return self._data[addr : addr + size]
 
     def store_bytes(self, addr: int, payload: bytes, meta: Optional[str] = None) -> None:
         """Store bytes, observed one machine word per 8 bytes.
@@ -119,7 +124,7 @@ class NVMHeap:
 
     def snapshot(self) -> bytes:
         """Full functional image (used by crash testing as ground truth)."""
-        return bytes(self._data)
+        return self._data[:]
 
     def restore(self, image: bytes) -> None:
         """Overwrite the full functional image (crash rollback)."""
@@ -127,6 +132,34 @@ class NVMHeap:
             raise ValueError("snapshot size mismatch")
         self._data[:] = image
 
+    def truncate(self, end: int) -> None:
+        """Keep only the image below *end*; the rest must be all zero.
+
+        The heap is then a read-only snapshot: it must not be accessed
+        again, only :meth:`clone`-d back to full size."""
+        self._data = self._data[:end]
+
+    def clone(self) -> "NVMHeap":
+        """A fresh heap of the same size and image, without observers
+        (zero above the end of a :meth:`truncate`-d image)."""
+        heap = NVMHeap(self.size)
+        heap._data[: len(self._data)] = self._data
+        return heap
+
+    @property
+    def image_bytes(self) -> int:
+        """Bytes of image this heap holds (less than ``size`` once
+        truncated)."""
+        return len(self._data)
+
     def _check(self, addr: int, size: int) -> None:
         if addr <= 0 or addr + size > self.size:
             raise IndexError(f"access [{addr:#x}, {addr + size:#x}) outside heap")
+
+
+def _zeroed(size: int) -> mmap.mmap:
+    """*size* writable zero bytes, private to this process: a forked
+    child's stores must never reach its parent's heap."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return mmap.mmap(-1, size)

@@ -79,6 +79,12 @@ class UndoLog:
         self._cursor = self.base + _HEADER
         self.write_n_entries(0)
 
+    def erase(self) -> None:
+        """Zero the whole log region and rewind, without observing: the
+        state of a log no transaction has used."""
+        self.heap.raw_write(self.base, bytes(self.capacity))
+        self._cursor = self.base + _HEADER
+
     def append(self, addr: int, size: int) -> List[int]:
         """Log the pre-image of ``[addr, addr+size)``.
 

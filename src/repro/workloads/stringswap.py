@@ -21,6 +21,17 @@ from repro.workloads.base import OpResult, PersistentWorkload, Workbench
 
 STRING_SIZE = 256
 
+_ALPHABET = (string.ascii_letters + string.digits).encode()
+#: Enough alphabet repeats that every rotation has STRING_SIZE bytes.
+_REPEATED = _ALPHABET * (STRING_SIZE // len(_ALPHABET) + 2)
+
+
+def initial_string(index: int) -> bytes:
+    """The string the array holds at *index* before any swap: the
+    alphabet rotated left by *index*, repeated to length."""
+    start = index % len(_ALPHABET)
+    return _REPEATED[start : start + STRING_SIZE]
+
 
 class StringSwapWorkload(PersistentWorkload):
     """Swap random pairs in a persistent string array."""
@@ -36,15 +47,13 @@ class StringSwapWorkload(PersistentWorkload):
         self._key_space = n_strings * n_strings
         self.meta = self._alloc_node()
         self.array = self.alloc.alloc(n_strings * STRING_SIZE)
-        alphabet = (string.ascii_letters + string.digits).encode()
-        for i in range(n_strings):
-            payload = bytes(alphabet[(i + j) % len(alphabet)] for j in range(STRING_SIZE))
-            self.heap.store_bytes(self._entry(i), payload)
+        payloads = [initial_string(i) for i in range(n_strings)]
+        self.heap.store_bytes(self.array, b"".join(payloads))
         self.heap.store_u64(self.meta + 0, self.array)
         self.heap.store_u64(self.meta + 8, n_strings)
         self.heap.store_u64(self.meta + 16, 0)  # swap counter
         #: model: index -> string bytes.
-        self.model = {i: self._read(i) for i in range(n_strings)}
+        self.model = dict(enumerate(payloads))
 
     def _entry(self, index: int) -> int:
         return self.array + index * STRING_SIZE

@@ -12,7 +12,8 @@ from collections import namedtuple
 
 import pytest
 
-from repro.harness import cache
+from repro.harness import cache, runner
+from repro.harness.figures import fig15_concurrent_speedup
 from repro.harness.runner import (
     TraceKey,
     clear_trace_cache,
@@ -22,6 +23,8 @@ from repro.harness.runner import (
 )
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
+from repro.uarch.system import simulate_system
+from repro.workloads import concurrent
 
 SMALL = dict(init_ops=24, sim_ops=8)
 MODE = PersistMode.LOG_P_SF
@@ -97,3 +100,54 @@ class TestNoAliasing:
     def test_run_system_rejects_single_core(self):
         with pytest.raises(ValueError):
             run_system("HM", MODE, cores=1)
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Keys of every ``generate_concurrent`` call."""
+    calls = []
+    generate = concurrent.generate_concurrent
+
+    def counting(abbrev, mode, n_cores, contention, **kwargs):
+        calls.append((abbrev, n_cores, contention))
+        return generate(abbrev, mode, n_cores=n_cores, contention=contention, **kwargs)
+
+    monkeypatch.setattr(concurrent, "generate_concurrent", counting)
+    return calls
+
+
+class TestConcurrentTraceReuse:
+    """The two machines of a Figure 15 cell share one generated run."""
+
+    def test_second_config_reuses_the_traces(self, generations):
+        base, sp = MachineConfig(), MachineConfig().with_sp(256)
+        for config in (base, sp):
+            run_system("HM", MODE, config, cores=2, contention=0.5, **SMALL)
+        assert generations == [("HM", 2, 0.5)]
+
+    def test_only_the_latest_cell_is_kept(self, generations):
+        base, sp = MachineConfig(), MachineConfig().with_sp(256)
+        run_system("HM", MODE, base, cores=2, contention=0.0, **SMALL)
+        run_system("HM", MODE, base, cores=2, contention=0.5, **SMALL)
+        assert len(runner._SYSTEM_TRACES) == 1
+        run_system("HM", MODE, sp, cores=2, contention=0.0, **SMALL)
+        assert generations == [("HM", 2, 0.0), ("HM", 2, 0.5), ("HM", 2, 0.0)]
+        clear_trace_cache()
+        assert not runner._SYSTEM_TRACES
+
+    def test_shared_traces_simulate_like_fresh_ones(self):
+        configs = (MachineConfig(), MachineConfig().with_sp(256))
+        shared = [
+            run_system("HM", MODE, config, cores=2, contention=0.9, **SMALL)
+            for config in configs
+        ]
+        for config, stats in zip(configs, shared):
+            run = concurrent.generate_concurrent(
+                "HM", MODE, n_cores=2, contention=0.9, seed=7, **SMALL
+            )
+            fresh = simulate_system(run.traces, config).aggregate()
+            assert cache.stats_record(stats) == cache.stats_record(fresh)
+
+    def test_figure_15_generates_each_cell_once(self, generations):
+        fig15_concurrent_speedup(["HM"], 7, (2,), (0.0, 0.5))
+        assert generations == [("HM", 2, 0.0), ("HM", 2, 0.5)]

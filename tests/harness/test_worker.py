@@ -166,6 +166,28 @@ class TestEndpoints:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
+    def test_job_past_max_jobs_is_dropped_before_the_listener_closes(
+        self, tmp_path, monkeypatch
+    ):
+        """A retiring worker stops listening a moment after its last
+        job; a job that arrives in that moment must not be served."""
+        from repro.harness.worker import WorkerServer
+
+        monkeypatch.setattr(WorkerServer, "stop_soon", lambda self: None)
+        server, _thread = start_worker_thread(
+            cache_root=str(tmp_path / "wcache4"), max_jobs=1
+        )
+        job = _job()
+        blob = transport.encode_job("sim", job.trace_key, job.config, "d", 1)
+        try:
+            assert _post(server, "/job", blob)[0] == 200
+            with pytest.raises((urllib.error.URLError, ConnectionError)):
+                _post(server, "/job", blob)
+            assert server.state.jobs_done == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
 
 class TestCacheDegradedWorker:
     """Satellite: a worker whose local cache writes start failing keeps

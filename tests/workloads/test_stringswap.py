@@ -1,10 +1,16 @@
 """String Swap workload (repro.workloads.stringswap)."""
 
+import hashlib
+import io
+import string
 import sys
 
 import pytest
 
 from repro.isa.ops import Op
+from repro.isa.serialize import dump_trace
+from repro.workloads.base import Workbench
+from repro.workloads.stringswap import StringSwapWorkload, initial_string
 
 sys.path.insert(0, "tests")
 from conftest import make_workload  # noqa: E402
@@ -64,3 +70,33 @@ class TestTraceShape:
         ss = make_workload("SS")
         ss.swap(0, 1)
         assert ss.tx.stats.bytes_logged >= 512
+
+
+class TestInitialContents:
+    """The array's initial strings, built by slicing a repeated alphabet,
+    are pinned to the original per-byte rotation and heap image."""
+
+    @pytest.mark.parametrize("index", [0, 1, 61, 62, 63, 255, 511, 8191])
+    def test_payload_is_the_rotated_alphabet(self, index):
+        alphabet = (string.ascii_letters + string.digits).encode()
+        expected = bytes(alphabet[(index + j) % len(alphabet)] for j in range(256))
+        assert initial_string(index) == expected
+
+    def test_model_holds_the_stored_strings(self):
+        ss = make_workload("SS", n_strings=70)
+        assert ss.model == {i: initial_string(i) for i in range(70)}
+        assert ss.strings() == [ss.model[i] for i in range(70)]
+
+    def test_build_heap_and_trace_digests_are_pinned(self):
+        bench = Workbench(heap_size=1 << 22, record=True, seed=3)
+        StringSwapWorkload(bench, n_strings=512)
+        heap = hashlib.sha256(bench.heap.snapshot()).hexdigest()
+        buf = io.BytesIO()
+        dump_trace(bench.trace, buf)
+        trace = hashlib.sha256(buf.getvalue()).hexdigest()
+        assert heap == (
+            "7efaff647aa5d28a7bdf1bedc151063a2dbc6fcf2227160e74126cc2d8f05eda"
+        )
+        assert trace == (
+            "9b790ba9bd04c1a54ad36ee437fcb97312b371db3625bf8db1bdb4131dc7be40"
+        )
