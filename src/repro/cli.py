@@ -46,8 +46,7 @@ same after their regular output.
 Multi-worker campaigns run under the fault-tolerant supervisor
 (:mod:`repro.harness.supervisor`; see ``docs/RESILIENCE.md``).  The
 commands above plus ``validate`` accept ``--resume`` (skip cells an
-interrupted campaign already journaled), ``--no-supervise`` (the plain
-PR-1 scheduler, byte-identical output), ``--job-timeout SECONDS`` (the
+interrupted campaign already journaled), ``--job-timeout SECONDS`` (the
 per-job watchdog deadline), and ``--failures-out PATH`` (structured
 report of timeouts/retries/quarantines/pool rebuilds).
 
@@ -439,14 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "walker, 'auto' to pick numpy when available (default: "
                  "REPRO_KERNEL, then auto); both are cycle-identical",
         )
-        sub_parser.add_argument(
-            "--classify", choices=("auto", "batch", "scalar"), default=None,
-            help="cache classification pass of the numpy kernel: 'batch' "
-                 "pins the set-partitioned stack-distance engine, "
-                 "'scalar' pins the per-access walk, 'auto' routes each "
-                 "batch by its eligibility probe (default: "
-                 "REPRO_CLASSIFY, then auto); all are cycle-identical",
-        )
 
     def add_supervise(sub_parser):
         sub_parser.add_argument(
@@ -454,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="resume an interrupted campaign: cells recorded in the "
                  "campaign journal are loaded from cache, only the "
                  "missing ones are re-simulated",
-        )
-        sub_parser.add_argument(
-            "--no-supervise", action="store_true", dest="no_supervise",
-            help="bypass the fault-tolerant supervisor (no retries, "
-                 "timeouts, or journals); output is byte-identical",
         )
         sub_parser.add_argument(
             "--job-timeout", type=float, default=None, metavar="SECONDS",
@@ -684,11 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_supervisor(args) -> None:
-    """Apply the --resume/--no-supervise/--job-timeout flags."""
+    """Apply the --resume/--job-timeout flags."""
     from repro.harness import supervisor
 
-    if getattr(args, "no_supervise", False):
-        supervisor.set_enabled(False)
     if getattr(args, "resume", False):
         supervisor.set_resume(True)
     if getattr(args, "job_timeout", None) is not None:
@@ -729,7 +713,8 @@ def _write_failures(args) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "jobs", None) is not None:
         parallel.set_default_jobs(args.jobs)
     if getattr(args, "kernel", None):
@@ -740,12 +725,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         import os
 
         os.environ["REPRO_KERNEL"] = args.kernel
-    if getattr(args, "classify", None):
-        # same worker-inheritance rationale as --kernel; classification
-        # modes are cycle-identical so only wall-clock speed can differ
-        import os
-
-        os.environ["REPRO_CLASSIFY"] = args.classify
     _configure_supervisor(args)
     transport_error = _configure_transport(args)
     if transport_error:

@@ -45,7 +45,6 @@ from repro.harness.figures import fig8_overheads
 from repro.harness.parallel import default_jobs
 from repro.harness.runner import all_benchmarks, build_trace, clear_trace_cache
 from repro.txn.modes import PersistMode
-from repro.uarch.classify import resolve_mode as resolve_classify_mode
 from repro.uarch.config import MachineConfig
 from repro.uarch import kernel as kernel_mod
 from repro.uarch.kernel import numpy_available, resolve_backend
@@ -85,7 +84,8 @@ DEFAULT_OUTPUT = "BENCH_harness.json"
 #: ``cpu_count``) so history records are comparable across machines,
 #: and the append-only ``BENCH_history.jsonl`` trail every run joins
 #: (``bench --compare`` reads it — see :func:`compare_to_history`).
-BENCH_SCHEMA_VERSION = 7
+#: 8: dropped ``classify_mode`` (the kernel has one classification pass).
+BENCH_SCHEMA_VERSION = 8
 
 #: Append-only JSON-lines trail of every bench record ever taken on
 #: this checkout; ``bench --compare`` mines it for the best comparable
@@ -425,7 +425,6 @@ def run_bench(
         "pipeline_ips": pipeline_ips.get(active_backend),
         "pipeline_ips_by_backend": pipeline_ips,
         "pipeline_phase_seconds": _round_phases(sustained_phases),
-        "classify_mode": resolve_classify_mode(None),
         "miss_trace": {
             "benchmark": MISS_BENCHMARK,
             "mode": PersistMode.BASE.value,
@@ -527,10 +526,9 @@ def _comparable_metrics(record: Dict[str, object]) -> Dict[str, float]:
 
 def comparable(record: Dict[str, object], prior: Dict[str, object]) -> bool:
     """Whether *prior* is a like-for-like baseline for *record*: same
-    quick/full shape, same active kernel backend, and same classify
-    mode — anything else measures a different configuration, not a
-    regression."""
-    keys = ("quick", "kernel_backend", "classify_mode")
+    quick/full shape and same active kernel backend — anything else
+    measures a different configuration, not a regression."""
+    keys = ("quick", "kernel_backend")
     return all(prior.get(key) == record.get(key) for key in keys)
 
 

@@ -34,8 +34,7 @@ position exactly as in :mod:`repro.harness.parallel`, simulation is a
 pure function of ``(trace, config)``, and chaos only perturbs scheduling
 and cache files (which are integrity-checked and self-healing) — so a
 campaign that survives any amount of injected failure is byte-identical
-to a clean serial run.  ``--no-supervise`` bypasses this module
-entirely and reproduces the unsupervised scheduler behaviour.
+to a clean serial run.
 
 See ``docs/RESILIENCE.md`` for the failure taxonomy and policies.
 """
@@ -198,6 +197,24 @@ def _corrupt_file(path: Path, rng: random.Random) -> None:
 # ----------------------------------------------------------------------
 # supervisor configuration
 # ----------------------------------------------------------------------
+def env_float(environ, name: str, default: float, low: float) -> float:
+    """``environ[name]`` as a float clamped to *low*; *default* when
+    unset or unparsable."""
+    try:
+        return max(low, float(environ[name]))
+    except (KeyError, ValueError):
+        return default
+
+
+def env_int(environ, name: str, default: int, low: int) -> int:
+    """``environ[name]`` as an int clamped to *low*; *default* when
+    unset or unparsable."""
+    try:
+        return max(low, int(environ[name]))
+    except (KeyError, ValueError):
+        return default
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Retry/timeout/quarantine policy (env-overridable, see below)."""
@@ -221,23 +238,11 @@ class SupervisorConfig:
 
     @classmethod
     def from_env(cls, environ=os.environ) -> "SupervisorConfig":
-        def _float(name: str, default: float, low: float) -> float:
-            try:
-                return max(low, float(environ[name]))
-            except (KeyError, ValueError):
-                return default
-
-        def _int(name: str, default: int, low: int) -> int:
-            try:
-                return max(low, int(environ[name]))
-            except (KeyError, ValueError):
-                return default
-
         return cls(
-            job_timeout=_float(ENV_JOB_TIMEOUT, cls.job_timeout, 0.1),
-            max_attempts=_int(ENV_MAX_ATTEMPTS, cls.max_attempts, 1),
-            max_pool_rebuilds=_int(
-                ENV_MAX_POOL_REBUILDS, cls.max_pool_rebuilds, 0
+            job_timeout=env_float(environ, ENV_JOB_TIMEOUT, cls.job_timeout, 0.1),
+            max_attempts=env_int(environ, ENV_MAX_ATTEMPTS, cls.max_attempts, 1),
+            max_pool_rebuilds=env_int(
+                environ, ENV_MAX_POOL_REBUILDS, cls.max_pool_rebuilds, 0
             ),
         )
 
@@ -245,21 +250,9 @@ class SupervisorConfig:
 # ----------------------------------------------------------------------
 # module state (mirrors parallel.set_default_jobs's CLI plumbing)
 # ----------------------------------------------------------------------
-_ENABLED = True
 _RESUME = False
 _JOB_TIMEOUT_OVERRIDE: Optional[float] = None
 _CAMPAIGNS: List["CampaignReport"] = []
-
-
-def set_enabled(flag: bool) -> None:
-    """Route ``run_variants`` through the supervisor (the default) or
-    straight to the unsupervised scheduler (``--no-supervise``)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-def enabled() -> bool:
-    return _ENABLED
 
 
 def set_resume(flag: bool) -> None:
@@ -287,8 +280,7 @@ def current_config() -> SupervisorConfig:
 
 def reset() -> None:
     """Restore default supervisor state (tests)."""
-    global _ENABLED, _RESUME, _JOB_TIMEOUT_OVERRIDE
-    _ENABLED = True
+    global _RESUME, _JOB_TIMEOUT_OVERRIDE
     _RESUME = False
     _JOB_TIMEOUT_OVERRIDE = None
     _CAMPAIGNS.clear()
@@ -569,8 +561,7 @@ class _DegradedToSerial(Exception):
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Hard-stop a pool: SIGKILL live workers, then cancel queued work.
 
-    Shared with :mod:`repro.harness.parallel`'s ``KeyboardInterrupt``
-    path — never blocks waiting for a worker that may be hung.  The
+    Never blocks waiting for a worker that may be hung.  The
     kill MUST come first: ``shutdown()`` drops the executor's process
     table (``_processes = None``), and a merely-shut-down executor
     still waits for hung workers at interpreter exit.  Killing the

@@ -85,7 +85,7 @@ class TransportProtocolError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# transport selection (mirrors supervisor.set_enabled's CLI plumbing)
+# transport selection (mirrors supervisor.set_resume's CLI plumbing)
 # ----------------------------------------------------------------------
 _TRANSPORT_OVERRIDE: Optional[str] = None
 _WORKERS_OVERRIDE: Optional[List[str]] = None
@@ -298,34 +298,28 @@ class FleetConfig:
 
     @classmethod
     def from_env(cls, environ=os.environ) -> "FleetConfig":
-        def _float(name: str, default: float, low: float) -> float:
-            try:
-                return max(low, float(environ[name]))
-            except (KeyError, ValueError):
-                return default
-
-        def _int(name: str, default: int, low: int) -> int:
-            try:
-                return max(low, int(environ[name]))
-            except (KeyError, ValueError):
-                return default
+        # imported here: single-process runs import this module but never
+        # need the supervisor
+        from repro.harness.supervisor import env_float, env_int
 
         return cls(
-            request_timeout=_float(ENV_NET_TIMEOUT, cls.request_timeout, 0.05),
-            worker_max_failures=_int(
-                ENV_WORKER_MAX_FAILURES, cls.worker_max_failures, 1
+            request_timeout=env_float(
+                environ, ENV_NET_TIMEOUT, cls.request_timeout, 0.05
             ),
-            worker_quarantine_s=_float(
-                ENV_WORKER_QUARANTINE, cls.worker_quarantine_s, 0.0
+            worker_max_failures=env_int(
+                environ, ENV_WORKER_MAX_FAILURES, cls.worker_max_failures, 1
             ),
-            worker_max_quarantines=_int(
-                ENV_WORKER_MAX_QUARANTINES, cls.worker_max_quarantines, 0
+            worker_quarantine_s=env_float(
+                environ, ENV_WORKER_QUARANTINE, cls.worker_quarantine_s, 0.0
             ),
-            heartbeat_interval=_float(
-                ENV_HEARTBEAT_INTERVAL, cls.heartbeat_interval, 0.01
+            worker_max_quarantines=env_int(
+                environ, ENV_WORKER_MAX_QUARANTINES, cls.worker_max_quarantines, 0
             ),
-            heartbeat_max_misses=_int(
-                ENV_HEARTBEAT_MISSES, cls.heartbeat_max_misses, 1
+            heartbeat_interval=env_float(
+                environ, ENV_HEARTBEAT_INTERVAL, cls.heartbeat_interval, 0.01
+            ),
+            heartbeat_max_misses=env_int(
+                environ, ENV_HEARTBEAT_MISSES, cls.heartbeat_max_misses, 1
             ),
         )
 

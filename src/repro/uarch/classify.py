@@ -1,747 +1,11 @@
-"""Batched, set-partitioned cache classification for the NumPy kernel.
+"""Classification-mode stamp.
 
-The kernel's classification pass (:func:`repro.uarch.kernel._classify`)
-determines every batched op's cache behaviour — hit level, LRU movement,
-victim cascade, dirty writebacks — purely from access *order*.  The
-scalar pass walks each genuinely-missing access through the three-level
-hierarchy one Python iteration at a time; on miss-heavy traces that walk
-is the simulation's bound.  This module resolves whole batches of
-accesses per cache *set* with array passes instead, cycle-for-cycle
-identical to the scalar walk by construction.
-
-The engine rests on the LRU **stack property**: within a flush-free
-window, a ``W``-way LRU set always contains exactly the top-``W``
-distinct tags ranked by *last use*, with the dict's LRU→MRU order equal
-to ascending last use.  Seeding each initially-resident tag with a
-virtual last use of ``rank - occupancy`` (so the MRU way sits at ``-1``,
-the LRU way at ``-occupancy``) makes the whole window a pure function of
-the access stream:
-
-* **hit test** — an access to tag ``t`` hits iff fewer than ``W`` tags
-  have a more recent last use than ``t``'s (``t``'s *stack distance*);
-* **victim** — a miss on a full set evicts the tag with the ``W``-th
-  most recent last use (the LRU resident);
-* **dirty bit** — a tag is dirty iff its most recent *dirtying* event
-  (store touch, dirty victim-fill) is no older than its most recent
-  *fill* (a clean refill resets the bit; a dirtying fill marks it);
-* **final state** — the set's dict after the window holds the top-``W``
-  tags by final last use, inserted in ascending order — exactly what the
-  sequential pop/reinsert walk leaves behind.
-
-Last-use positions are materialised as per-round recency tensors of
-shape ``(active sets, K + 1, tags)``: the stream is grouped by set
-(one stable argsort), sets are ordered by event count so the busy ones
-form a prefix, and each round resolves the next ``K`` events of every
-still-active set at once — one scatter of each event's global stream
-position, then ``np.maximum.accumulate`` along the position axis.
-Residents are carried between rounds as dense per-set arrays (tag,
-last use, dirty recency), so skewed streams cost work proportional to
-their events rather than to the hottest set's length.  The same
-resolution runs three times: over the L1 stream, then over the L2
-stream it induces (L1 probe misses plus dirty L1 victims, in exact
-``miss_fast`` event order), then over the L3 stream, whose dirty
-victims become the deferred WPQ records the kernel replays into the
-memory controller at true times.
-
-Flushes (``clwb``/``clflushopt``) break the stack property — they clean
-or evict out of recency order — so they split the batch into flush-free
-segments and are applied to the mirrored state between segments exactly
-as :meth:`repro.uarch.caches.CacheHierarchy.flush` would.  Flush-dense
-batches decline to the scalar pass under ``auto`` (segment overhead
-would swamp the tensor win); ``REPRO_CLASSIFY=scalar`` forces the scalar
-pass globally and ``batch`` pins the engine even when dense (both paths
-stay cycle-identical — the pins exist for conformance testing and
-triage).  The contract is enforced by the conformance matrix and the
-directed/hypothesis batteries in ``tests/uarch/test_classify.py``.
+The NumPy kernel classifies every batch with one scalar pass
+(:func:`repro.uarch.kernel._classify`).  This module remains only so
+run records can keep stamping the classification mode they ran with.
 """
-
-from __future__ import annotations
-
-import os
-
-from repro.uarch import kernel as _kernel
-
-
-#: Classification modes accepted by ``--classify`` / ``REPRO_CLASSIFY``.
-MODES = ("auto", "batch", "scalar")
-
-#: Sentinel for "never used": far below any virtual seed rank or
-#: round-local event position, yet comfortably inside int16 (positions
-#: are re-based every round, so the recency tensors stay 2-byte).
-_NEVER16 = -(1 << 14)
-
-#: Row bands are only split off when at least this many active rows
-#: could shed the busiest row's tensor dimensions — fewer rows and the
-#: extra dispatch costs more than the slack.
-_BAND_MIN_ROWS = 128
-
-#: Tag-sort sentinel: above any real tag, so padding and already-known
-#: resident tags sort past the fresh ones during factorisation.
-_TAG_PAD = (1 << 62)
-
-#: Int64 "no relevant event" sentinel for the eviction-free fast path's
-#: per-group dirty recency (``2*pos + dirtied``).
-_NEVER64 = -(1 << 60)
-
-#: Per-round event quota bounds: each round takes ``K`` events of every
-#: still-active set, sizing the recency tensors to
-#: ``(active sets, K + 1, K + ways + 1)``.  ``K`` adapts to the active
-#: prefix — per-event tensor cost grows with ``K`` while per-round
-#: dispatch overhead amortises over ``active × K`` events, so the
-#: break-even ``K ≈ sqrt(ratio / active)`` (ratio = dispatch cost over
-#: per-cell cost, tuned empirically).  Skewed streams thus drain their
-#: long single-set tails in a few big rounds instead of thousands of
-#: tiny ones.
-_ROUND_K_MIN = 16
-_ROUND_K_MAX = 256
-_ROUND_K_RATIO = 131_072
-
-#: ``auto`` declines a batch whose L1 stream has less than this
-#: fraction of its events in eviction-free sets: thrash streams route
-#: every set through the recency-tensor rounds, where the scalar walk's
-#: touch-only-the-misses asymmetry still wins.  The screen is computed
-#: before any state is mutated, so declining is side-effect free.
-_ELIG_GATE = 0.25
-
-#: The routing probe judges at most this many leading stream events —
-#: enough to tell steady-state residency from thrash, at a bounded
-#: fraction of the batch's resolve cost.
-_ELIG_PROBE_MAX = 65_536
-
-
-def _round_k(active: int) -> int:
-    k = int((_ROUND_K_RATIO // max(active, 1)) ** 0.5)
-    return min(max(k, _ROUND_K_MIN), _ROUND_K_MAX)
-
-#: ``auto`` leaves batches with more flushes per kept op than this on
-#: the scalar pass: every flush is a segment boundary, and segment
-#: overhead swamps the tensor win on write-ahead-log traces.
-_FLUSH_DENSITY = 1 / 48.0
 
 
 def resolve_mode(requested=None) -> str:
-    """Resolve a classification-mode request to the mode that will run.
-
-    Precedence: explicit *requested* argument, then the
-    ``REPRO_CLASSIFY`` environment variable, then ``auto`` — mirroring
-    :func:`repro.uarch.kernel.resolve_backend`.
-    """
-    request = (requested or "auto").strip().lower() or "auto"
-    if request == "auto":
-        request = os.environ.get("REPRO_CLASSIFY", "auto").strip().lower() or "auto"
-    if request not in MODES:
-        raise ValueError(
-            f"unknown classification mode {request!r}; expected one of {MODES}"
-        )
-    return request
-
-
-class _LevelState:
-    """Mutable mirror of one :class:`CacheLevel`'s touched sets.
-
-    Sets are read lazily from the live level (each at most once per
-    classification call) as parallel tag/dirty lists in LRU→MRU order,
-    mutated by the array passes and the inter-segment flush replay, and
-    written back — same dict insertion order the scalar walk would have
-    left — in :meth:`write_back`.
-    """
-
-    __slots__ = ("level", "sets", "ins", "flush_evs")
-
-    def __init__(self, level):
-        self.level = level
-        self.sets = {}
-        #: fill insertions (each bumps the level ``stamp`` exactly once)
-        self.ins = 0
-        #: ``evict()`` calls that found their tag (flush invalidations)
-        self.flush_evs = 0
-
-    def get(self, si):
-        entry = self.sets.get(si)
-        if entry is None:
-            tags, dirty = self.level.snapshot_set(si)
-            entry = [tags, dirty]
-            self.sets[si] = entry
-        return entry
-
-    def write_back(self):
-        self.level.apply_sets(self.sets, self.ins, self.flush_evs)
-
-
-def _sort_set_tag(np, state, sets, tags):
-    """Stable order grouping events by ``(set, tag)``, time order within.
-
-    A single stable argsort over a packed key halves the sort cost vs.
-    ``np.lexsort`` whenever set and tag indices fit one word (block
-    numbers are tiny next to 2**50).
-    """
-    if state.level.n_sets <= (1 << 13) and int(tags.max()) < (1 << 50):
-        return np.argsort((sets << 50) | tags, kind="stable")
-    return np.lexsort((tags, sets))
-
-
-def _elig_fraction(np, state, W, sets, tags):
-    """Fraction of stream events that fall in eviction-free sets.
-
-    Routing probe for ``auto``: a set whose residents plus distinct
-    stream tags fit in ``W`` ways resolves on the cheap fast path, so a
-    stream mostly made of such sets is the engine's home turf, while a
-    thrash stream (nothing eligible) still favours the scalar walk.
-    Reads residency through ``state.get`` only — no mutation.
-    """
-    n = len(tags)
-    if not n:
-        return 1.0
-    order2 = _sort_set_tag(np, state, sets, tags)
-    s2 = sets[order2]
-    t2 = tags[order2]
-    gb = np.empty(n, dtype=bool)
-    gb[0] = True
-    np.logical_or(s2[1:] != s2[:-1], t2[1:] != t2[:-1], out=gb[1:])
-    gstart = np.nonzero(gb)[0]
-    gset = s2[gstart]
-    gtag = t2[gstart]
-    sgb = np.empty(len(gstart), dtype=bool)
-    sgb[0] = True
-    np.not_equal(gset[1:], gset[:-1], out=sgb[1:])
-    sg_start = np.nonzero(sgb)[0]
-    su = gset[sg_start]
-    state_get = state.get
-    R0 = np.full((len(su), W), -1, dtype=np.int64)
-    occ0 = np.zeros(len(su), dtype=np.int64)
-    for row, si in enumerate(su.tolist()):
-        stags = state_get(si)[0]
-        if stags:
-            R0[row, W - len(stags):] = stags
-            occ0[row] = len(stags)
-    grow = np.searchsorted(su, gset)
-    in_r0_g = (gtag[:, None] == R0[grow]).any(axis=1)
-    new_groups = np.add.reduceat(~in_r0_g, sg_start)
-    elig = (occ0 + new_groups) <= W
-    set_bound = np.empty(n, dtype=bool)
-    set_bound[0] = True
-    np.not_equal(s2[1:], s2[:-1], out=set_bound[1:])
-    counts = np.diff(np.append(np.nonzero(set_bound)[0], n))
-    return int(counts[elig].sum()) / n
-
-
-def _resolve_level(np, state, W, sets, tags, dirtying):
-    """Resolve one level's access stream against *state*.
-
-    *sets*, *tags*, *dirtying* are parallel arrays over the stream in
-    exact event order (an event with ``dirtying`` set marks its tag
-    dirty: a store touch, or a dirty victim-fill from the level above).
-    Returns ``(hit, evict_idx, evict_tag, evict_dirty)``: a per-event
-    hit mask plus the LRU eviction events — ascending indices into the
-    stream with the victim's tag and dirty bit.  Residency, order, and
-    dirty bits in *state* are updated to the post-stream truth;
-    statistics are the caller's business.
-    """
-    n = len(tags)
-    hit = np.zeros(n, dtype=bool)
-    if not n:
-        return (hit, np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-    ev_pos_parts = []
-    ev_tag_parts = []
-    ev_dirty_parts = []
-
-    # ---- group events by set -----------------------------------------
-    order = np.argsort(sets, kind="stable")       # per-set runs, time order
-    s_sorted = sets[order]
-    bound = np.empty(n, dtype=bool)
-    bound[0] = True
-    np.not_equal(s_sorted[1:], s_sorted[:-1], out=bound[1:])
-    starts = np.nonzero(bound)[0]
-    su = s_sorted[starts]                         # ascending set indices
-    counts = np.diff(np.append(starts, n))
-    S_all = len(su)
-
-    # ---- resident snapshot per touched set, MRU at column W-1 ---------
-    R0_tag = np.full((S_all, W), -1, dtype=np.int64)
-    R0_dirty = np.zeros((S_all, W), dtype=np.int16)
-    occ0 = np.zeros(S_all, dtype=np.int64)
-    state_get = state.get
-    su_l = su.tolist()
-    for row, si in enumerate(su_l):
-        stags, sdirty = state_get(si)
-        occ = len(stags)
-        if occ:
-            R0_tag[row, W - occ:] = stags
-            R0_dirty[row, W - occ:] = sdirty
-            occ0[row] = occ
-
-    # ---- eviction-free screen: (set, tag) group factorisation ---------
-    # A set whose residents plus distinct stream tags fit in ``W`` ways
-    # can never evict within the segment, so every access resolves from
-    # first-occurrence logic alone: a hit unless it is the first touch
-    # of a non-resident tag.  Hit-dominated workloads whose working set
-    # fits the level (the common steady state) skip the recency tensors
-    # entirely on this path.
-    order2 = _sort_set_tag(np, state, sets, tags)  # (set, tag) runs, time order
-    t2 = tags[order2]
-    s2 = sets[order2]
-    gb = np.empty(n, dtype=bool)                  # first touch of its group
-    gb[0] = True
-    np.logical_or(s2[1:] != s2[:-1], t2[1:] != t2[:-1], out=gb[1:])
-    gstart = np.nonzero(gb)[0]
-    gset = s2[gstart]                             # ascending with ``su``
-    gtag = t2[gstart]
-    grow = np.searchsorted(su, gset)              # group -> set row
-    in_r0_g = (gtag[:, None] == R0_tag[grow]).any(axis=1)
-    sgb = np.empty(len(gstart), dtype=bool)       # first group of its set
-    sgb[0] = True
-    np.not_equal(gset[1:], gset[:-1], out=sgb[1:])
-    sg_start = np.nonzero(sgb)[0]
-    new_groups = np.add.reduceat(~in_r0_g, sg_start)
-    elig = (occ0 + new_groups) <= W               # per set row
-
-    if elig.any():
-        gidx = np.cumsum(gb) - 1                  # entry -> group index
-        # hits: every touch except the first of a non-resident tag
-        elig_entry = elig[grow][gidx]
-        hit_entry = in_r0_g[gidx] | ~gb
-        hit[order2[elig_entry & hit_entry]] = True
-        # last relevant event per group decides the final dirty bit
-        # (2*pos + dirtied parity; fills are first touches of
-        # non-resident tags, the only misses an eviction-free set has)
-        dirt2 = dirtying[order2]
-        rel2 = dirt2 | (gb & ~in_r0_g[gidx])
-        val2 = np.where(rel2, 2 * order2 + dirt2, _NEVER64)
-        grel = np.maximum.reduceat(val2, gstart)
-        glast = order2[np.append(gstart[1:], n) - 1]
-        # final per-set state: untouched residents keep their seed order
-        # (oldest), touched tags follow in last-use order
-        sets_map = state.sets
-        sg_end = np.append(sg_start[1:], len(gstart))
-        gtag_l = gtag.tolist()
-        glast_l = glast.tolist()
-        grel_l = grel.tolist()
-        for srow in np.nonzero(elig)[0].tolist():
-            lo_i, hi_i = int(sg_start[srow]), int(sg_end[srow])
-            entry = sets_map[su_l[srow]]
-            old_dirty = dict(zip(entry[0], entry[1]))
-            by_last = sorted(range(lo_i, hi_i), key=glast_l.__getitem__)
-            touched = {gtag_l[gi] for gi in by_last}
-            new_tags = [t for t in entry[0] if t not in touched]
-            new_dirty = [old_dirty[t] for t in new_tags]
-            for gi in by_last:
-                t = gtag_l[gi]
-                new_tags.append(t)
-                new_dirty.append(bool(grel_l[gi] & 1) if grel_l[gi] > _NEVER64
-                                 else bool(old_dirty.get(t, False)))
-            entry[0] = new_tags
-            entry[1] = new_dirty
-
-    # ---- residual sets (can evict): recency-tensor rounds -------------
-    inel_rows = np.nonzero(~elig)[0]
-    if not len(inel_rows):
-        return (hit, np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-    cord = inel_rows[np.argsort(-counts[inel_rows], kind="stable")]
-    su_o = su[cord].tolist()
-    counts_o = counts[cord]
-    starts_o = starts[cord]
-    S = len(su_o)
-    neg_counts = -counts_o                        # ascending, for prefix cut
-
-    # ---- resident mirror arrays, LRU→MRU in columns [W-occ, W) --------
-    # R_lo is the virtual last use *rank* (MRU seed -1, LRU seed -occ;
-    # re-ranked after every round so positions stay round-local and the
-    # recency tensors fit int16); R_df is the dirty recency
-    # ``2*rank + dirtied`` — a tag is dirty iff its latest relevant event
-    # (store touch / dirty victim-fill = odd, clean fill = even) is odd.
-    seed_rank = np.arange(-W, 0, dtype=np.int16)
-    col_live = np.arange(W)[None, :] >= (W - occ0[cord])[:, None]
-    R_tag = R0_tag[cord]
-    R_lo = np.where(col_live, seed_rank[None, :], _NEVER16).astype(np.int16)
-    R_df = np.where(col_live, 2 * seed_rank[None, :] + R0_dirty[cord],
-                    _NEVER16).astype(np.int16)
-
-    arK = np.arange(_ROUND_K_MAX, dtype=np.int64)
-    arK16 = np.arange(_ROUND_K_MAX, dtype=np.int16)
-
-    def _span(r0, r1, off, kk):
-        # resolve one round's events for the row band [r0, r1): every
-        # tensor is sized by the band's own busiest row and fresh-tag
-        # universe, so sparse bands stay cheap.
-        nb = r1 - r0
-        kkb = kk[r0:r1]
-        kmax = int(kkb[0])                            # rows sorted desc
-        rows = np.arange(nb)[:, None]
-        colk = arK[None, :kmax]
-        valid = colk < kkb[:, None]
-        g = order[np.where(valid, starts_o[r0:r1, None] + off + colk, 0)]
-        tag_r = np.where(valid, tags[g], -2)          # -2: matches nothing
-        dirt_r = dirtying[g] & valid
-
-        # ---- uids: residents 0..W-1, fresh tags W.., padding at U-1 ---
-        eq = tag_r[:, :, None] == R_tag[r0:r1, None, :]
-        res_match = eq.any(axis=2)
-        res_uid = eq.argmax(axis=2)
-        fresh = valid & ~res_match
-        tag_f = np.where(fresh, tag_r, _TAG_PAD)
-        ro = np.argsort(tag_f, axis=1, kind="stable")
-        tf_sorted = np.take_along_axis(tag_f, ro, axis=1)
-        newg = np.empty_like(fresh)
-        newg[:, 0] = tf_sorted[:, 0] != _TAG_PAD
-        np.logical_and(tf_sorted[:, 1:] != tf_sorted[:, :-1],
-                       tf_sorted[:, 1:] != _TAG_PAD, out=newg[:, 1:])
-        rank_sorted = np.cumsum(newg, axis=1)         # 1-based fresh rank
-        d_max = int(rank_sorted[:, -1].max()) if kmax else 0
-        U = W + d_max + 1                             # +1 padding column
-        uid_sorted = rank_sorted + (W - 1)
-        uid_f = np.empty_like(uid_sorted)
-        np.put_along_axis(uid_f, ro, uid_sorted, axis=1)
-        uid_r = np.where(res_match, res_uid,
-                         np.where(fresh, uid_f, U - 1))
-        tag_of = np.full((nb, U), -1, dtype=np.int64)
-        tag_of[:, :W] = R_tag[r0:r1]
-        fr, fc = np.nonzero(newg)
-        tag_of[fr, rank_sorted[fr, fc] + (W - 1)] = tf_sorted[fr, fc]
-
-        # ---- recency tensor: scatter + maximum.accumulate -------------
-        # lo[s, c+1, u] = round-local position of tag u's event at
-        # column c (seed ranks at index 0); after a running max along
-        # the position axis, index c is the exclusive before-event view
-        # and index kk[s] the final one.
-        pos_r = np.where(valid, arK16[None, :kmax], _NEVER16)
-        lo = np.full((nb, kmax + 1, U), _NEVER16, dtype=np.int16)
-        lo[:, 0, :W] = R_lo[r0:r1]
-        lo[rows, colk + 1, uid_r] = pos_r
-        np.maximum.accumulate(lo, axis=1, out=lo)
-        lo_bef = lo[:, :kmax, :]                      # view, no copy
-
-        # ---- hit test: stack distance < W -----------------------------
-        mine = np.take_along_axis(lo_bef, uid_r[:, :, None], axis=2)[:, :, 0]
-        cnt = (lo_bef > mine[:, :, None]).sum(axis=2)
-        hit_r = (mine > _NEVER16) & (cnt < W) & valid
-        miss_r = valid & ~hit_r
-        # for an unseen tag cnt counts every seen tag, so ``cnt >= W``
-        # is exactly "set full" for both miss flavours
-        evict_r = miss_r & (cnt >= W)
-        hit[g[hit_r]] = True
-
-        # ---- dirty recency tensor -------------------------------------
-        rel = miss_r | dirt_r                         # fills + dirtying
-        df = np.full((nb, kmax + 1, U), _NEVER16, dtype=np.int16)
-        df[:, 0, :W] = R_df[r0:r1]
-        df[rows, colk + 1, uid_r] = np.where(rel, 2 * pos_r + dirt_r,
-                                             _NEVER16)
-        np.maximum.accumulate(df, axis=1, out=df)
-
-        # ---- victims: the W-th most recent last use -------------------
-        if evict_r.any():
-            rs, cs = np.nonzero(evict_r)
-            rows_ev = lo_bef[rs, cs]                  # (n_ev, U)
-            vuid = np.argpartition(rows_ev, U - W, axis=1)[:, U - W]
-            ev_pos_parts.append(g[rs, cs])
-            ev_tag_parts.append(tag_of[rs, vuid])
-            ev_dirty_parts.append((df[rs, cs, vuid] & 1) == 1)
-
-        # ---- hand the final stack back to the resident arrays ---------
-        sel = kkb[:, None, None]
-        lo_fin = np.take_along_axis(lo, sel, axis=1)[:, 0, :]
-        df_fin = np.take_along_axis(df, sel, axis=1)[:, 0, :]
-        top = np.argsort(lo_fin, axis=1)[:, U - W:]   # ascending last use
-        new_lo = np.take_along_axis(lo_fin, top, axis=1)
-        live = new_lo > _NEVER16
-        # re-rank the survivors to -W..-1 so the next round's tensors
-        # stay round-local (the relative order is all later rounds use)
-        R_lo[r0:r1] = np.where(live, seed_rank[None, :], _NEVER16)
-        parity = np.take_along_axis(df_fin, top, axis=1) & 1
-        R_df[r0:r1] = np.where(live, 2 * seed_rank[None, :] + parity,
-                               _NEVER16)
-        new_tag = np.take_along_axis(tag_of, top, axis=1)
-        new_tag[~live] = -1                           # underfull sets
-        R_tag[r0:r1] = new_tag
-
-    max_cnt = int(counts_o[0]) if S else 0
-    off = 0
-    while off < max_cnt:
-        # active prefix: sets with events left (counts descending)
-        S_act = int(np.searchsorted(neg_counts, -off, side="left"))
-        K = _round_k(S_act)
-        kk = np.minimum(counts_o[:S_act] - off, K)    # non-increasing
-        r0 = 0
-        while r0 < S_act:
-            kb = int(kk[r0])
-            r1 = S_act
-            if S_act - r0 >= _BAND_MIN_ROWS and kb > 8:
-                # band off the rows with <1/4 of the busiest row's
-                # events — they'd otherwise pay its tensor dimensions
-                cut = max(kb // 4, 8)
-                r1 = r0 + int(np.searchsorted(-kk[r0:S_act], -(cut - 1),
-                                              side="left"))
-            _span(r0, r1, off, kk)
-            r0 = r1
-        off += K
-
-    # ---- write the mirrors back as LRU→MRU lists ----------------------
-    occ_fin = (R_lo > _NEVER16).sum(axis=1).tolist()
-    tag_l = R_tag.tolist()
-    dirty_l = ((R_df & 1) == 1).tolist()
-    sets_map = state.sets
-    for row, si in enumerate(su_o):
-        kn = occ_fin[row]
-        entry = sets_map[si]
-        entry[0] = tag_l[row][W - kn:] if kn else []
-        entry[1] = dirty_l[row][W - kn:] if kn else []
-
-    if ev_pos_parts:
-        ep = np.concatenate(ev_pos_parts)
-        eo = np.argsort(ep, kind="stable")
-        evict_idx = ep[eo]
-        evict_tag = np.concatenate(ev_tag_parts)[eo]
-        evict_dirty = np.concatenate(ev_dirty_parts)[eo]
-    else:
-        evict_idx = np.empty(0, dtype=np.int64)
-        evict_tag = np.empty(0, dtype=np.int64)
-        evict_dirty = np.empty(0, dtype=bool)
-    return hit, evict_idx, evict_tag, evict_dirty
-
-
-def classify_batch(model, T, q0, q1, keep, eff_store, dup_hits, force):
-    """Batched replacement for the scalar classification walk.
-
-    Resolves the kept ops (run heads) of batch ``[q0, q1)`` and returns
-    the same ``(load_lat, store_lat, flush_wb, records, hits)`` tuple
-    :func:`repro.uarch.kernel._classify` contracts — or ``None`` when
-    the batch is outside the engine's envelope (non-uniform block
-    geometry; flush-dense unless *force*), in which case the caller runs
-    the scalar pass over the untouched live state.
-    """
-    np = _kernel.np
-    caches = model.caches
-    l1, l2, l3 = caches.l1, caches.l2, caches.l3
-    shift = l1.block_bits
-    if l2.block_bits != shift or l3.block_bits != shift:
-        return None
-    kidx = np.nonzero(keep)[0] + q0               # absolute op ordinals
-    nk = len(kidx)
-    kinds = T.op_kind[kidx]
-    is_flush = (kinds == 4) | (kinds == 5)
-    n_flush = int(np.count_nonzero(is_flush))
-    if n_flush > nk * _FLUSH_DENSITY and not force:
-        return None
-
-    cfg = model.config
-    mask1 = l1.n_sets - 1
-    mask2 = l2.n_sets - 1
-    mask3 = l3.n_sets - 1
-    W1, W2, W3 = l1.ways, l2.ways, l3.ways
-    l1_lat = cfg.l1.latency
-    lat12 = l1_lat + cfg.l2.latency
-    lat123 = lat12 + cfg.l3.latency
-    lat_mem = lat123 + cfg.nvmm_read_cycles
-
-    L0 = int(T.load_cum[q0])
-    S0 = int(T.store_cum[q0])
-    F0 = int(T.flush_cum[q0])
-    load_lat = np.full(int(T.load_cum[q1]) - L0, l1_lat, dtype=np.int64)
-    store_lat = np.full(int(T.store_cum[q1]) - S0, l1_lat, dtype=np.int64)
-    flush_wb = np.empty(int(T.flush_cum[q1]) - F0, dtype=bool)
-
-    blocks = T.op_block[kidx]
-    tags = blocks >> shift
-    dirtying = eff_store[kidx - q0]
-
-    st1 = _LevelState(l1)
-    st2 = _LevelState(l2)
-    st3 = _LevelState(l3)
-    hits = 0
-    n_miss1 = wb1 = 0
-    hit2 = miss2 = wb2 = 0
-    hit3 = miss3 = wb3 = 0
-    # deferred WPQ records as (sort_key, block) array parts; keys encode
-    # (op ordinal, subphase) so one final argsort reproduces the scalar
-    # collector's append order exactly
-    rec_keys = []
-    rec_blocks = []
-
-    # subphase encoding of one miss's hierarchy events (the exact event
-    # order of the scalar ``miss_fast``):
-    #   4k+0 — L2 probe(t); on L2 miss also the L3 probe(t) and its
-    #          fill3(t) (whose dirty victim is the first WPQ record)
-    #   4k+1 — fill3 of the dirty victim of fill2(t)
-    #   4k+2 — fill2 of the dirty L1 victim; also a flush op's writeback
-    #   4k+3 — fill3 of the dirty victim of that L2 victim-fill
-    def run_segment(seg):
-        """Resolve one flush-free slice (indices into the kept ops)."""
-        nonlocal hits, n_miss1, wb1, hit2, miss2, wb2, hit3, miss3, wb3
-        if not len(seg):
-            return
-        k_ops = kidx[seg]
-        t1 = tags[seg]
-        h1, e1_idx, e1_tag, e1_dirty = _resolve_level(
-            np, st1, W1, t1 & mask1, t1, dirtying[seg]
-        )
-        n_hit = int(np.count_nonzero(h1))
-        hits += n_hit
-        m1 = ~h1
-        nm1 = len(h1) - n_hit
-        n_miss1 += nm1
-        st1.ins += nm1
-        n_wb1 = int(np.count_nonzero(e1_dirty))
-        wb1 += n_wb1
-        if not nm1:
-            return
-
-        miss_ops = k_ops[m1]          # absolute ordinals, ascending
-        miss_tags = t1[m1]
-
-        # ---- L2 stream: probes + dirty L1 victim fills ----------------
-        probe_keys = miss_ops << 2
-        if n_wb1:
-            dv = e1_dirty
-            s2_keys = np.concatenate([probe_keys, (k_ops[e1_idx[dv]] << 2) | 2])
-            s2_tags = np.concatenate([miss_tags, e1_tag[dv]])
-            s2_probe = np.zeros(len(s2_keys), dtype=bool)
-            s2_probe[: len(probe_keys)] = True
-            s2_order = np.argsort(s2_keys, kind="stable")
-            s2_keys = s2_keys[s2_order]
-            s2_tags = s2_tags[s2_order]
-            s2_probe = s2_probe[s2_order]
-        else:
-            s2_keys = probe_keys
-            s2_tags = miss_tags
-            s2_probe = np.ones(len(s2_keys), dtype=bool)
-        # probe fills are clean (write-allocate keeps dirt in the L1);
-        # victim fills carry it down
-        h2, e2_idx, e2_tag, e2_dirty = _resolve_level(
-            np, st2, W2, s2_tags & mask2, s2_tags, ~s2_probe
-        )
-        hit2 += int(np.count_nonzero(h2 & s2_probe))
-        m2 = ~h2
-        miss2 += int(np.count_nonzero(m2 & s2_probe))
-        st2.ins += int(np.count_nonzero(m2))
-        n_wb2 = int(np.count_nonzero(e2_dirty))
-        wb2 += n_wb2
-
-        # ---- L3 stream: L2 probe misses + dirty L2 victims ------------
-        # a dirty victim of the L2 event at key K spills to the L3 at
-        # key K+1 (probe-fill victim → 4k+1, victim-fill victim → 4k+3)
-        p3_mask = m2 & s2_probe
-        probe3_keys = s2_keys[p3_mask]
-        probe3_tags = s2_tags[p3_mask]
-        if n_wb2:
-            dv = e2_dirty
-            s3_keys = np.concatenate([probe3_keys, s2_keys[e2_idx[dv]] + 1])
-            s3_tags = np.concatenate([probe3_tags, e2_tag[dv]])
-            s3_probe = np.zeros(len(s3_keys), dtype=bool)
-            s3_probe[: len(probe3_keys)] = True
-            s3_order = np.argsort(s3_keys, kind="stable")
-            s3_keys = s3_keys[s3_order]
-            s3_tags = s3_tags[s3_order]
-            s3_probe = s3_probe[s3_order]
-        else:
-            s3_keys = probe3_keys
-            s3_tags = probe3_tags
-            s3_probe = np.ones(len(s3_keys), dtype=bool)
-        if len(s3_keys):
-            h3, e3_idx, e3_tag, e3_dirty = _resolve_level(
-                np, st3, W3, s3_tags & mask3, s3_tags, ~s3_probe
-            )
-            hit3 += int(np.count_nonzero(h3 & s3_probe))
-            m3 = ~h3
-            miss3 += int(np.count_nonzero(m3 & s3_probe))
-            st3.ins += int(np.count_nonzero(m3))
-            n_wb3 = int(np.count_nonzero(e3_dirty))
-            wb3 += n_wb3
-            if n_wb3:
-                rec_keys.append(s3_keys[e3_idx[e3_dirty]])
-                rec_blocks.append(e3_tag[e3_dirty] << shift)
-            probe_hit3 = h3[s3_probe]  # ascending-key ⇒ miss-op order
-        else:
-            probe_hit3 = np.empty(0, dtype=bool)
-
-        # ---- latencies of the missing ops -----------------------------
-        lat = np.full(nm1, lat12, dtype=np.int64)
-        # probes sort to ascending 4k+0 keys, so both probe streams are
-        # aligned with the missing ops in order
-        probe_missed_l2 = m2[np.nonzero(s2_probe)[0]]
-        lat[probe_missed_l2] = np.where(probe_hit3, lat123, lat_mem)
-        is_load_m = T.is_load[miss_ops]
-        if is_load_m.any():
-            li = T.load_cum[miss_ops[is_load_m]] - L0
-            load_lat[li] = lat[is_load_m]
-        is_store_m = ~is_load_m
-        if is_store_m.any():
-            si = T.store_cum[miss_ops[is_store_m]] - S0
-            store_lat[si] = lat[is_store_m]
-
-    # ---- eligibility routing probe ------------------------------------
-    # side-effect free (mirror reads only): a mostly-thrash L1 stream
-    # goes back to the scalar walk before anything is resolved
-    if not force:
-        pt = tags[:_ELIG_PROBE_MAX]
-        if _elig_fraction(np, st1, W1, pt & mask1, pt) < _ELIG_GATE:
-            return None
-
-    # ---- flush-segmented sweep ---------------------------------------
-    all_idx = np.arange(nk, dtype=np.int64)
-    seg_start = 0
-    for fp in np.nonzero(is_flush)[0].tolist():
-        run_segment(all_idx[seg_start:fp])
-        # replay the flush on the mirrored state (caches.flush verbatim:
-        # clean/evict every level, one WPQ record if dirty anywhere)
-        k = int(kidx[fp])
-        tag = int(tags[fp])
-        invalidate = int(kinds[fp]) == 5
-        dirty_any = False
-        for st, mask in ((st1, mask1), (st2, mask2), (st3, mask3)):
-            entry = st.get(tag & mask)
-            try:
-                pos = entry[0].index(tag)
-            except ValueError:
-                continue
-            if invalidate:
-                dirty_any = bool(entry[1][pos]) or dirty_any
-                del entry[0][pos]
-                del entry[1][pos]
-                st.flush_evs += 1
-            elif entry[1][pos]:
-                dirty_any = True
-                entry[1][pos] = False
-        flush_wb[int(T.flush_cum[k]) - F0] = dirty_any
-        if dirty_any:
-            rec_keys.append(np.asarray([(k << 2) | 2], dtype=np.int64))
-            rec_blocks.append(blocks[fp:fp + 1])
-        seg_start = fp + 1
-    run_segment(all_idx[seg_start:])
-
-    # ---- spill: state, statistics, ordered WPQ records ----------------
-    st1.write_back()
-    st2.write_back()
-    st3.write_back()
-    caches.accesses += n_miss1
-    caches.nvmm_reads += miss3
-    l1.misses += n_miss1
-    l1.writebacks += wb1
-    l2.hits += hit2
-    l2.misses += miss2
-    l2.writebacks += wb2
-    l3.hits += hit3
-    l3.misses += miss3
-    l3.writebacks += wb3
-
-    records = []
-    if rec_keys:
-        keys = np.concatenate(rec_keys)
-        blks = np.concatenate(rec_blocks)
-        order = np.argsort(keys, kind="stable")
-        is_load = T.is_load
-        is_flush_all = T.is_flush
-        load_cum = T.load_cum
-        store_cum = T.store_cum
-        flush_cum = T.flush_cum
-        for k, block in zip((keys[order] >> 2).tolist(),
-                            blks[order].tolist()):
-            if is_flush_all[k]:
-                code, sub = 2, int(flush_cum[k]) - F0
-            elif is_load[k]:
-                code, sub = 0, int(load_cum[k]) - L0
-            else:
-                code, sub = 1, int(store_cum[k]) - S0
-            records.append(((k, code, sub), block))
-    return load_lat, store_lat, flush_wb, records, hits + dup_hits
+    """The classification mode that will run: always ``"scalar"``."""
+    return "scalar"

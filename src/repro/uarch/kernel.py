@@ -418,42 +418,17 @@ def _elide_runs(T, q0, q1, shift):
     return dup_run, keep, eff_store
 
 
-_classify_engine = None
-
-
 def _classify(model, T, q0, q1):
     """Classify the batch's ops [*q0*, *q1*): cache behaviour from
     access order alone.
 
-    Dispatches between two cycle-identical implementations on the
-    ``REPRO_CLASSIFY`` mode (see :mod:`repro.uarch.classify`): the
-    batched set-partitioned engine, which resolves whole streams as
-    per-set array passes, and the scalar walk below.  ``auto`` prefers
-    the engine for any batch past the exact-path cutoff and falls back
-    when the engine declines (flush-dense batches, non-uniform block
-    geometry); ``batch``/``scalar`` pin one path.  Returns per-kind
-    latency arrays, flush writeback flags, deferred WPQ records
-    ``((op_ordinal, code, sub_ordinal), block)`` (ordinals global for
-    ops, batch-local for subs), and the L1-hit count the walker would
-    have accumulated inline.
+    Elides same-tag runs (:func:`_elide_runs`) and hands the rest to the
+    scalar pass.  Returns per-kind latency arrays, flush writeback flags,
+    deferred WPQ records ``((op_ordinal, code, sub_ordinal), block)``
+    (ordinals global for ops, batch-local for subs), and the L1-hit count
+    the walker would have accumulated inline.
     """
-    global _classify_engine
-    engine = _classify_engine
-    if engine is None:
-        from repro.uarch import classify as engine
-        _classify_engine = engine
     dup_run, keep, eff_store = _elide_runs(T, q0, q1, model.caches.l1.block_bits)
-    mode = engine.resolve_mode()
-    if mode != "scalar" and q1 - q0 > _CLASSIFY_EXACT_MAX:
-        result = engine.classify_batch(
-            model, T, q0, q1, keep, eff_store,
-            int(np.count_nonzero(dup_run)), mode == "batch",
-        )
-        if result is not None:
-            _telemetry.counter_inc("classify.routed_batch")
-            return result
-        _telemetry.counter_inc("classify.declined")
-    _telemetry.counter_inc("classify.routed_scalar")
     return _classify_scalar(model, T, q0, q1, dup_run, keep, eff_store)
 
 

@@ -25,7 +25,6 @@ def _record(**overrides):
         "timestamp_utc": "2026-08-09T00:00:00+00:00",
         "quick": True,
         "kernel_backend": "numpy",
-        "classify_mode": "auto",
         "pipeline_ips_by_backend": {"python": 1_000_000, "numpy": 5_000_000},
         "miss_ips_by_backend": {"python": 400_000, "numpy": 2_000_000},
         "sweep_ips_by_backend": {"python": 900_000, "numpy": 1_500_000},
@@ -101,10 +100,14 @@ class TestComparable:
     def test_same_shape_is_comparable(self):
         assert comparable(_record(), _record(git_rev="other"))
 
-    def test_different_backend_quick_or_classify_mode_is_not(self):
+    def test_different_backend_or_quick_is_not(self):
         assert not comparable(_record(), _record(kernel_backend="python"))
         assert not comparable(_record(), _record(quick=False))
-        assert not comparable(_record(), _record(classify_mode="scalar"))
+
+    def test_records_stamped_with_a_classify_mode_stay_comparable(self):
+        # schema-7 records carry ``classify_mode``; the kernel now has
+        # one classification pass, so the stamp no longer splits history
+        assert comparable(_record(), _record(classify_mode="auto", schema=7))
 
 
 class TestCompare:

@@ -18,6 +18,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "XX"])
 
+    def test_contention_without_cores_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "HM", "--contention", "0.5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--contention needs --cores >= 2" in err
+
 
 class TestCommands:
     def test_tables(self, capsys):

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.harness import cache
-from repro.harness import parallel
 from repro.harness.parallel import (
     VariantJob,
     default_jobs,
@@ -121,23 +120,22 @@ class TestInterrupt:
             def __init__(self, max_workers=None):
                 self._processes = {1: FakeProc(), 2: FakeProc()}
 
-            def map(self, fn, payloads):
+            def submit(self, fn, *args):
                 raise KeyboardInterrupt
 
             def shutdown(self, wait=True, cancel_futures=False):
                 events.append(("shutdown", wait, cancel_futures))
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
-        supervisor.set_enabled(False)  # exercise the legacy scheduler path
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", FakePool)
+        jobs = [
+            VariantJob("LL", PersistMode.BASE, MachineConfig(), **SMALL),
+            VariantJob("HM", PersistMode.BASE, MachineConfig(), **SMALL),
+        ]
         try:
-            jobs = [
-                VariantJob("LL", PersistMode.BASE, MachineConfig(), **SMALL),
-                VariantJob("HM", PersistMode.BASE, MachineConfig(), **SMALL),
-            ]
             with pytest.raises(KeyboardInterrupt):
                 run_variants(jobs, jobs=2)
         finally:
-            supervisor.set_enabled(True)
+            supervisor.reset()
         assert events.count("kill") == 2
         assert ("shutdown", False, True) in events
 
@@ -153,10 +151,12 @@ class TestJobResolution:
         assert default_jobs() == 1
 
     def test_single_job_never_spawns_workers(self, monkeypatch):
+        from repro.harness import supervisor
+
         def no_pool(*args, **kwargs):
             raise AssertionError("ProcessPoolExecutor should not be used")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", no_pool)
         jobs = [VariantJob("LL", PersistMode.BASE, MachineConfig(), **SMALL)]
         (result,) = run_variants(jobs, jobs=1)
         assert result.cycles > 0

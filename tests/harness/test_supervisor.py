@@ -1,6 +1,6 @@
 """Fault-tolerant campaign supervisor (repro.harness.supervisor):
 chaos-vs-serial determinism, retry/quarantine/pool-rebuild recovery,
-resumable journals, and the --no-supervise escape hatch."""
+resumable journals."""
 
 import json
 import os
@@ -101,9 +101,16 @@ class TestSupervisorConfig:
     def test_garbage_env_falls_back_to_defaults(self, monkeypatch):
         monkeypatch.setenv(supervisor.ENV_JOB_TIMEOUT, "soon")
         monkeypatch.setenv(supervisor.ENV_MAX_ATTEMPTS, "-3")
+        monkeypatch.setenv(supervisor.ENV_MAX_POOL_REBUILDS, "2.5")
         config = supervisor.SupervisorConfig.from_env()
         assert config.job_timeout == 300.0
         assert config.max_attempts == 1  # clamped, not defaulted
+        assert config.max_pool_rebuilds == 3  # not an int: defaulted
+        monkeypatch.setenv(supervisor.ENV_JOB_TIMEOUT, "0.001")
+        monkeypatch.setenv(supervisor.ENV_MAX_POOL_REBUILDS, "-4")
+        config = supervisor.SupervisorConfig.from_env()
+        assert config.job_timeout == 0.1
+        assert config.max_pool_rebuilds == 0
 
     def test_cli_timeout_override(self):
         supervisor.set_job_timeout(2.0)
@@ -204,16 +211,6 @@ class TestSupervisedDeterminism:
         supervisor.reset()
         rerun = run_variants(jobs, jobs=2)
         assert rerun == serial
-
-    def test_no_supervise_bypasses_everything(self, monkeypatch):
-        jobs = _jobs()
-        serial = _serial_baseline(jobs, monkeypatch)
-        supervisor.set_enabled(False)
-        legacy = run_variants(jobs, jobs=2)
-        assert legacy == serial
-        counters = obs_metrics.supervisor_counters()
-        assert counters.campaigns == 0  # the supervisor never ran
-        assert supervisor.campaign_reports() == []
 
 
 class TestResume:
@@ -393,10 +390,10 @@ class TestCliFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["figure", "8", "--resume", "--no-supervise",
+            ["figure", "8", "--resume",
              "--job-timeout", "12", "--failures-out", "f.json"]
         )
-        assert args.resume and args.no_supervise
+        assert args.resume
         assert args.job_timeout == 12.0
         assert args.failures_out == "f.json"
 
@@ -405,7 +402,7 @@ class TestCliFlags:
 
         for argv in (
             ["run", "LL", "--resume"],
-            ["report", "--no-supervise"],
+            ["report", "--resume"],
             ["bench", "--job-timeout", "5"],
             ["validate", "--failures-out", "x.json"],
         ):

@@ -220,9 +220,13 @@ class TestConfiguration:
     def test_fleet_config_garbage_env_falls_back(self, monkeypatch):
         monkeypatch.setenv(transport.ENV_NET_TIMEOUT, "soon")
         monkeypatch.setenv(transport.ENV_WORKER_MAX_FAILURES, "-2")
+        monkeypatch.setenv(transport.ENV_WORKER_QUARANTINE, "-1")
+        monkeypatch.setenv(transport.ENV_HEARTBEAT_MISSES, "often")
         config = transport.FleetConfig.from_env()
         assert config.request_timeout == 60.0
         assert config.worker_max_failures == 1  # clamped, not defaulted
+        assert config.worker_quarantine_s == 0.0
+        assert config.heartbeat_max_misses == 3
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ The kernel's contract (repro.uarch.kernel) is cycle-for-cycle identity
 with the walker: same RunStats, same cache/memory-controller counters,
 on every trace.  These tests pin that contract three ways — targeted
 traces aimed at the kernel's own seams (batch threshold, same-block run
-elision, scalar-chunk bailout), property-based random traces from the
+elision, scalar-chunk bailout, the classification pass's sub-batch
+path), property-based random traces from the
 full micro-op grammar, and the benchmark conformance matrix — plus the
 backend-selection plumbing (resolution precedence, graceful degradation
 without numpy, deoptimisation guard).
@@ -255,6 +256,108 @@ class TestKernelSeams:
         clear_trace_cache()
         assert_backends_agree(trace)
         assert calls, "scalar bailout never triggered"
+
+
+# ----------------------------------------------------------------------
+# classification: the scalar pass's sub-batch path on directed traces
+# ----------------------------------------------------------------------
+#: L1 geometry of the default machine, used to aim traces at one set.
+_CFG = MachineConfig()
+_BLOCK = _CFG.l1.block_size
+_L1_WAYS = _CFG.l1.ways
+_SET_STRIDE = _CFG.l1.n_sets * _BLOCK
+
+
+def _cache_state(model):
+    """Everything classification leaves behind in the hierarchy: stamps,
+    counters, and every set's LRU order and dirty bits."""
+    out = []
+    for level in model.caches.levels:
+        out.append((level.name, level.stamp, level.hits, level.misses,
+                    level.writebacks,
+                    [list(ways.items()) for ways in level._sets]))
+    out.append(("acc", model.caches.accesses, model.caches.nvmm_reads))
+    return out
+
+
+def loads(addrs):
+    return [Instr(Op.LOAD, a) for a in addrs]
+
+
+def stores(addrs):
+    return [Instr(Op.STORE, a) for a in addrs]
+
+
+@requires_numpy
+class TestClassifySeams:
+    @pytest.fixture(autouse=True)
+    def sub_batches(self, monkeypatch):
+        # no exact-path cutoff and short sub-batches: every batch takes
+        # the set-partitioned sub-batch path, and each directed trace
+        # spans several residency re-snapshots
+        monkeypatch.setattr(kernel, "_CLASSIFY_EXACT_MAX", 0)
+        monkeypatch.setattr(kernel, "_CLASSIFY_SUB", 64)
+        snapshots = []
+        real = kernel._l1_snapshot
+
+        def spy(*args):
+            snapshots.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "_l1_snapshot", spy)
+        yield
+        assert len(snapshots) > 1, "sub-batch path never ran"
+
+    def assert_agree(self, trace, config=None):
+        py_model, np_model = assert_backends_agree(trace, config)
+        assert _cache_state(np_model) == _cache_state(py_model)
+        return py_model, np_model
+
+    def test_same_set_thrash_beyond_associativity(self):
+        # W+4 distinct blocks all landing in L1 set 0, chased for laps:
+        # every lap evicts, and the victim choice must match LRU exactly
+        blocks = [i * _SET_STRIDE for i in range(_L1_WAYS + 4)]
+        body = []
+        for lap in range(24):
+            body += loads(blocks) if lap % 3 else stores(blocks)
+        self.assert_agree(Trace(body))
+
+    def test_dirty_victim_cascade_l1_l2_l3(self):
+        # dirty a footprint far past every level's per-set capacity —
+        # stride of the *L3* set count makes every block collide in one
+        # set of all three levels — so dirty victims cascade
+        # L1→L2→L3→WPQ, and the deferred writeback records must land at
+        # the same times the walker emits them
+        deep_stride = _CFG.l3.n_sets * _BLOCK
+        blocks = [i * deep_stride for i in range(_CFG.l3.ways + 8)]
+        body = stores(blocks)
+        for lap in range(6):
+            body += stores([b + (lap % 2) * 8 for b in blocks])
+            body += loads(list(reversed(blocks)))
+        py_model, _ = self.assert_agree(Trace(body))
+        assert py_model.caches.l3.writebacks > 0  # the cascade actually ran
+
+    def test_flush_segmented_batch(self):
+        # clwb cleans and clflushopt evicts out of LRU order in the
+        # middle of a batch of same-set traffic
+        blocks = [i * _SET_STRIDE for i in range(_L1_WAYS + 2)]
+        body = []
+        for lap in range(10):
+            body += stores(blocks)
+            body.append(Instr(Op.CLWB if lap % 2 else Op.CLFLUSHOPT,
+                              blocks[lap % len(blocks)]))
+            body += loads(blocks)
+        self.assert_agree(Trace(body))
+
+    def test_speculative_machine(self):
+        # each lap's same-set traffic outlasts one sub-batch before its
+        # barrier opens (or extends) a speculative epoch
+        blocks = [i * _SET_STRIDE for i in range(_L1_WAYS + 3)]
+        body = []
+        for lap in range(8):
+            body += (stores(blocks) + loads(blocks)) * 3
+            body += barrier()
+        self.assert_agree(Trace(body), MachineConfig().with_sp(256))
 
 
 # ----------------------------------------------------------------------
