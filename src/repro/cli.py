@@ -60,6 +60,7 @@ HOST:PORT``; results merge byte-identically to local runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -670,18 +671,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_supervisor(args) -> None:
-    """Apply the --resume/--job-timeout flags."""
-    from repro.harness import supervisor
+    """Apply the --resume/--job-timeout flags; without them the
+    supervisor (and the sockets of its pool) stays unloaded."""
+    resume = getattr(args, "resume", False)
+    job_timeout = getattr(args, "job_timeout", None)
+    if resume or job_timeout is not None:
+        from repro.harness import supervisor
 
-    if getattr(args, "resume", False):
-        supervisor.set_resume(True)
-    if getattr(args, "job_timeout", None) is not None:
-        supervisor.set_job_timeout(args.job_timeout)
+        if resume:
+            supervisor.set_resume(True)
+        if job_timeout is not None:
+            supervisor.set_job_timeout(job_timeout)
 
 
 def _configure_transport(args) -> Optional[str]:
     """Apply --transport/--workers; returns an error message if the
     combination is unusable."""
+    if not (
+        getattr(args, "transport", None)
+        or getattr(args, "workers", None)
+        or os.environ.get("REPRO_TRANSPORT")
+    ):
+        return None  # local: single-process runs never load the fleet code
     from repro.harness import transport
 
     if getattr(args, "transport", None):
@@ -689,15 +700,7 @@ def _configure_transport(args) -> Optional[str]:
     if getattr(args, "workers", None):
         transport.set_workers(args.workers.split(","))
     try:
-        if transport.configured_transport() == "http":
-            addresses = transport.worker_addresses()
-            if not addresses:
-                return (
-                    "--transport http needs worker endpoints "
-                    "(--workers HOST:PORT[,HOST:PORT...] or REPRO_WORKERS)"
-                )
-            for address in addresses:
-                transport.parse_hostport(address)
+        transport.fleet_addresses()
     except transport.TransportConfigError as exc:
         return str(exc)
     return None
@@ -722,8 +725,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # parallel worker processes inherit the same backend choice; the
         # backends are cycle-identical, so this never affects results or
         # cache keys, only wall-clock speed
-        import os
-
         os.environ["REPRO_KERNEL"] = args.kernel
     _configure_supervisor(args)
     transport_error = _configure_transport(args)

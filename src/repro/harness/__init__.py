@@ -50,12 +50,6 @@ from repro.harness.figures import (
     render_bar_table,
 )
 from repro.harness.tables import table1_text, table2_text, table3_text
-from repro.harness.transport import (
-    configured_transport,
-    set_transport,
-    set_workers,
-    worker_addresses,
-)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -66,7 +60,6 @@ __all__ = [
     "cache_root",
     "clear_cache",
     "clear_trace_cache",
-    "configured_transport",
     "default_jobs",
     "prefetch_variants",
     "run_bench",
@@ -75,10 +68,7 @@ __all__ = [
     "system_result",
     "run_variants",
     "set_default_jobs",
-    "set_transport",
-    "set_workers",
     "variant_stats",
-    "worker_addresses",
     "fig8_overheads",
     "fig9_instruction_counts",
     "fig10_fetch_stalls",

@@ -103,12 +103,8 @@ def prefetch_variants(
     cross-product before their (serial, order-sensitive) result assembly
     loops; the assembly then hits the in-process memo only.
     """
-    jobs_list = [VariantJob(ab, mode, config, seed) for ab, mode, config in pairs]
     # de-duplicate while preserving order (BASE repeats across series)
-    unique: List[VariantJob] = []
-    seen = set()
-    for job in jobs_list:
-        if job not in seen:
-            seen.add(job)
-            unique.append(job)
-    return run_variants(unique, jobs=jobs)
+    unique = dict.fromkeys(
+        VariantJob(ab, mode, config, seed) for ab, mode, config in pairs
+    )
+    return run_variants(list(unique), jobs=jobs)

@@ -28,11 +28,15 @@ import json
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.harness.parallel import VariantJob, run_variants
 from repro.harness import transport
+from repro.harness.worker import (
+    QuietHandler,
+    QuietHTTPServer,
+    serve_until_interrupted,
+)
 from repro.obs import metrics as obs_metrics
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
@@ -80,7 +84,8 @@ def parse_sweep(payload: Dict[str, object]):
     }
     if unknown:
         raise SweepRequestError(f"unknown sweep fields: {sorted(unknown)}")
-    benchmarks = payload.get("benchmarks") or list(WORKLOADS)
+    # an absent field takes its default; an explicit [] is an error
+    benchmarks = payload.get("benchmarks", list(WORKLOADS))
     if not isinstance(benchmarks, list) or not benchmarks:
         raise SweepRequestError("'benchmarks' must be a non-empty list")
     for abbrev in benchmarks:
@@ -89,7 +94,7 @@ def parse_sweep(payload: Dict[str, object]):
                 f"unknown benchmark {abbrev!r} "
                 f"(expected one of {list(WORKLOADS)})"
             )
-    mode_labels = payload.get("modes") or list(DEFAULT_MODES)
+    mode_labels = payload.get("modes", list(DEFAULT_MODES))
     if not isinstance(mode_labels, list) or not mode_labels:
         raise SweepRequestError("'modes' must be a non-empty list")
     modes = [_resolve_mode(str(label)) for label in mode_labels]
@@ -112,10 +117,7 @@ def parse_sweep(payload: Dict[str, object]):
     return benchmarks, modes, seed, init_ops, sim_ops
 
 
-class ServiceServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
+class ServiceServer(QuietHTTPServer):
     def __init__(self, address: Tuple[str, int], jobs: Optional[int]) -> None:
         super().__init__(address, _ServiceHandler)
         self.jobs = jobs
@@ -123,22 +125,8 @@ class ServiceServer(ThreadingHTTPServer):
         self.lock = threading.Lock()
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
+class _ServiceHandler(QuietHandler):
     server_version = "repro-serve/1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    def _reply_json(self, status: int, payload: dict) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except OSError:
-            pass
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path == "/healthz":
@@ -155,22 +143,24 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if self.path == "/metrics":
             self._reply_json(200, obs_metrics.metrics_snapshot())
             return
-        self._reply_json(404, {"ok": False, "error": "not found"})
+        self._reply_error(404, "not found")
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         if self.path != "/sweep":
-            self._reply_json(404, {"ok": False, "error": "not found"})
+            self._reply_error(404, "not found")
+            return
+        blob = self._read_body()
+        if blob is None:
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, OSError) as exc:
-            self._reply_json(400, {"ok": False, "error": f"bad body: {exc}"})
+            payload = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:
+            self._reply_error(400, f"bad body: {exc}")
             return
         try:
             benchmarks, modes, seed, init_ops, sim_ops = parse_sweep(payload)
         except SweepRequestError as exc:
-            self._reply_json(400, {"ok": False, "error": str(exc)})
+            self._reply_error(400, str(exc))
             return
         with self.server.lock:
             self.server.sweeps += 1
@@ -240,16 +230,5 @@ def make_service(
 def serve_service(listen: str, jobs: Optional[int] = None) -> int:
     """Blocking entry point behind ``python -m repro serve``."""
     host, port = transport.parse_hostport(listen)
-    server = make_service(host, port, jobs)
-    bound_host, bound_port = server.server_address[:2]
-    print(f"serving sweeps on {bound_host}:{bound_port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        try:
-            server.server_close()
-        except OSError:
-            pass
+    serve_until_interrupted(make_service(host, port, jobs), "serving sweeps on")
     return 0

@@ -1,42 +1,33 @@
-"""Fault-tolerant campaign supervisor for the parallel scheduler.
+"""Fault-tolerant campaign supervisor: the one campaign driver.
 
-A figure, report, bench, or validate campaign fans thousands of
-(benchmark, mode, config, seed) simulations across a process pool.
-Without supervision, one OOM-killed worker, one hung simulation, or one
-``KeyboardInterrupt`` aborts the whole fleet and throws away every
-completed cell — exactly the fragility long full-system-simulation
-campaigns cannot tolerate.  This module wraps the scheduler in a
-recovery layer, applying the retry/abort discipline of persistent-memory
-transaction runtimes to the harness itself:
+A figure, report, bench, or validate campaign fans (benchmark, mode,
+config, seed) cells out to workers that die, hang, and corrupt what
+they write.  This module keeps such campaigns alive with the
+retry/abort discipline of persistent-memory transaction runtimes — one
+recovery path, whatever caused the failure:
 
-* **watchdog timeouts** — every pool job has a wall-clock deadline;
-  stragglers are killed with the pool and requeued;
-* **bounded retry with deterministic backoff** — failed jobs are
-  re-submitted with exponential backoff and *seeded* jitter, so a rerun
-  of the same campaign schedules identically;
-* **quarantine** — after ``max_attempts`` failures a job is pulled from
-  the fleet so one poison input cannot starve everything else; it is
-  finished in-process by the chaos-free serial fallback;
-* **pool-death recovery** — a ``BrokenProcessPool`` (worker SIGKILL,
-  OOM) rebuilds the pool and re-enqueues the in-flight jobs; after
-  ``max_pool_rebuilds`` deaths the campaign degrades gracefully to
-  serial execution;
-* **resumable journal** — completed jobs are appended (atomically, one
-  JSON line each) to ``<cache>/journal/<campaign-id>.jsonl``; an
-  interrupted campaign rerun with ``--resume`` re-simulates only the
-  journal-missing cells;
-* **chaos mode** — ``REPRO_CHAOS=kill:p,hang:p,corrupt:p`` randomly
-  SIGKILLs workers, injects hangs, and corrupts just-written cache
-  entries, so tests and CI can prove every recovery path actually fires.
+* **one retry loop** (:func:`_drive`) over pluggable transports — the
+  local :class:`PoolTransport` and the http fleet
+  (:class:`repro.harness.transport.HttpTransport`) — charges every
+  failure an attempt with seeded exponential backoff, and after
+  ``max_attempts`` hands the job down the ladder fleet -> pool ->
+  chaos-free in-process serial;
+* **watchdog and pool-death recovery** — an overdue job kills the pool,
+  a ``BrokenProcessPool`` charges the jobs it killed; the pool is
+  rebuilt up to ``max_pool_rebuilds`` times, then the campaign goes
+  serial;
+* **resumable journal** — completed jobs are appended to
+  ``<cache>/journal/<campaign-id>.jsonl``, so ``--resume`` re-simulates
+  only the journal-missing cells;
+* **chaos mode** — ``REPRO_CHAOS`` injects process and network faults,
+  deterministic per ``(seed, job digest, attempt)``, so tests and CI can
+  prove every recovery path fires.
 
-None of this changes *what* is computed: results are merged by job
-position exactly as in :mod:`repro.harness.parallel`, simulation is a
-pure function of ``(trace, config)``, and chaos only perturbs scheduling
-and cache files (which are integrity-checked and self-healing) — so a
-campaign that survives any amount of injected failure is byte-identical
-to a clean serial run.
-
-See ``docs/RESILIENCE.md`` for the failure taxonomy and policies.
+None of this changes *what* is computed: results merge by job position,
+simulation is a pure function of ``(trace, config)``, and chaos only
+perturbs scheduling and integrity-checked cache files — so a campaign
+that survives any injected failure is byte-identical to a clean serial
+run.  See ``docs/RESILIENCE.md`` for the failure taxonomy and policies.
 """
 
 from __future__ import annotations
@@ -165,31 +156,27 @@ class ChaosSpec:
         return cls.parse(text, seed=seed)
 
 
-def _chaos_rng(spec: ChaosSpec, digest: str, attempt: int) -> random.Random:
-    return random.Random(f"{spec.seed}|{digest}|{attempt}")
+def damage_bytes(blob: bytes, rng: random.Random) -> bytes:
+    """Truncate *blob* (at least 2 bytes) or flip a few of its bytes —
+    chaos ``corrupt`` on disk and ``garble`` on the wire; the CRC
+    integrity checks must reject either."""
+    damaged = bytearray(blob)
+    if rng.random() < 0.5:
+        return bytes(damaged[: rng.randrange(1, len(damaged))])
+    for _ in range(3):
+        index = rng.randrange(len(damaged))
+        damaged[index] ^= 1 + rng.randrange(255)
+    return bytes(damaged)
 
 
 def _corrupt_file(path: Path, rng: random.Random) -> None:
-    """Garble *path* in place: truncate it or flip a few bytes.
-
-    Deliberately non-atomic — this simulates torn writes and bit rot.
-    The integrity layer (RPTR2 CRC footer, stats CRC envelope) must
-    detect the damage on the next load and drop the entry.
-    """
+    """Garble *path* in place, deliberately non-atomically — a torn
+    write or bit rot the integrity layer (RPTR2 CRC footer, stats CRC
+    envelope) must detect on the next load."""
     try:
-        blob = bytearray(path.read_bytes())
-    except OSError:
-        return
-    if len(blob) < 2:
-        return
-    if rng.random() < 0.5:
-        blob = blob[: rng.randrange(1, len(blob))]
-    else:
-        for _ in range(3):
-            index = rng.randrange(len(blob))
-            blob[index] ^= 1 + rng.randrange(255)
-    try:
-        path.write_bytes(bytes(blob))
+        blob = path.read_bytes()
+        if len(blob) >= 2:
+            path.write_bytes(damage_bytes(blob, rng))
     except OSError:
         pass
 
@@ -197,27 +184,10 @@ def _corrupt_file(path: Path, rng: random.Random) -> None:
 # ----------------------------------------------------------------------
 # supervisor configuration
 # ----------------------------------------------------------------------
-def env_float(environ, name: str, default: float, low: float) -> float:
-    """``environ[name]`` as a float clamped to *low*; *default* when
-    unset or unparsable."""
-    try:
-        return max(low, float(environ[name]))
-    except (KeyError, ValueError):
-        return default
-
-
-def env_int(environ, name: str, default: int, low: int) -> int:
-    """``environ[name]`` as an int clamped to *low*; *default* when
-    unset or unparsable."""
-    try:
-        return max(low, int(environ[name]))
-    except (KeyError, ValueError):
-        return default
-
-
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Retry/timeout/quarantine policy (env-overridable, see below)."""
+    """The campaign's one retry/timeout/quarantine policy, for every
+    transport (env-overridable, see below)."""
 
     #: wall-clock seconds a single pool job may run before the watchdog
     #: kills the pool and requeues it (``REPRO_JOB_TIMEOUT``).
@@ -238,11 +208,18 @@ class SupervisorConfig:
 
     @classmethod
     def from_env(cls, environ=os.environ) -> "SupervisorConfig":
+        def read(name, parse, default, low):
+            # clamped to *low*; *default* when unset or unparsable
+            try:
+                return max(low, parse(environ[name]))
+            except (KeyError, ValueError):
+                return default
+
         return cls(
-            job_timeout=env_float(environ, ENV_JOB_TIMEOUT, cls.job_timeout, 0.1),
-            max_attempts=env_int(environ, ENV_MAX_ATTEMPTS, cls.max_attempts, 1),
-            max_pool_rebuilds=env_int(
-                environ, ENV_MAX_POOL_REBUILDS, cls.max_pool_rebuilds, 0
+            job_timeout=read(ENV_JOB_TIMEOUT, float, cls.job_timeout, 0.1),
+            max_attempts=read(ENV_MAX_ATTEMPTS, int, cls.max_attempts, 1),
+            max_pool_rebuilds=read(
+                ENV_MAX_POOL_REBUILDS, int, cls.max_pool_rebuilds, 0
             ),
         )
 
@@ -512,7 +489,7 @@ def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
     kind, key, config, root, digest, attempt, spec = payload
     rng = None
     if spec is not None and spec.process_active():
-        rng = _chaos_rng(spec, f"{kind}:{digest}", attempt)
+        rng = random.Random(f"{spec.seed}|{kind}:{digest}|{attempt}")
         if rng.random() < spec.kill:
             os.kill(os.getpid(), signal.SIGKILL)
         if rng.random() < spec.hang:
@@ -528,34 +505,143 @@ def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
 
 
 # ----------------------------------------------------------------------
-# phase runner
+# the campaign driver: one retry loop over transports
 # ----------------------------------------------------------------------
+@dataclass(eq=False)
 class _Task:
     """One schedulable unit (a trace generation or a simulation)."""
 
-    __slots__ = (
-        "kind", "key", "config", "index", "label", "digest",
-        "attempts", "quarantined", "done", "ready_at", "future",
-        "started_at",
-    )
-
-    def __init__(self, kind, key, config, index, label, digest):
-        self.kind = kind
-        self.key = key
-        self.config = config
-        self.index = index
-        self.label = label
-        self.digest = digest
-        self.attempts = 0
-        self.quarantined = False
-        self.done = False
-        self.ready_at = 0.0
-        self.future = None
-        self.started_at = 0.0
+    kind: str
+    key: object
+    config: object
+    index: Optional[int]
+    label: str
+    digest: str
+    attempts: int = 0
+    ready_at: float = 0.0
+    quarantined: bool = False
+    done: bool = False
 
 
-class _DegradedToSerial(Exception):
-    """Internal control flow: the pool died too often; go serial."""
+class AttemptFailure(Exception):
+    """One failed attempt: ``event`` (``None`` records none) and
+    ``fields`` go to the campaign report; ``charge=False`` requeues the
+    task without spending an attempt (a bystander of a pool kill, or a
+    refused connection blamed on the endpoint)."""
+
+    def __init__(self, event: Optional[str], charge: bool = True, **fields) -> None:
+        super().__init__(event or "requeue")
+        self.event = event
+        self.charge = charge
+        self.fields = fields
+
+
+def backoff(config: SupervisorConfig, key: str, attempt: int) -> float:
+    """Seconds to wait after failure *attempt*: capped exponential with
+    jitter seeded by ``(config.seed, key, attempt)``, so a rerun of the
+    same campaign backs off identically."""
+    rng = random.Random(f"{config.seed}|{key}|{attempt}")
+    delay = min(config.backoff_cap, config.backoff_base * 2 ** (attempt - 1))
+    return delay * (1.0 + config.jitter * rng.random())
+
+
+def _drive(tasks: List[_Task], transport, on_done: Callable) -> None:
+    """The campaign's one retry loop: run *tasks* on one rung.
+
+    Submits ready tasks up to the transport's free slots, waits for the
+    first completion and charges every failure alike: an attempt and a
+    seeded :func:`backoff`, and after ``max_attempts`` the rung gives
+    the task up.  What the rung gives up on or strands (it died) stays
+    not-done for the next rung, where attempts restart at 0.
+
+    A transport has ``config``, ``report``, ``tick`` (wait timeout),
+    ``dead`` and ``slots(active)``, ``submit(task)`` (future or None),
+    ``collect(task, future)`` (``(result, wall, worker)`` or raises
+    :class:`AttemptFailure`), ``reap(in_flight, settle)`` (its own
+    recovery), ``charged(task, gave_up)`` and ``close(left)``.
+    """
+    config, report = transport.config, transport.report
+    work = [t for t in tasks if not t.done and not t.quarantined]
+    for task in work:
+        task.attempts = 0
+        task.ready_at = 0.0
+    given_up: Set[_Task] = set()
+    in_flight: Dict = {}
+
+    def settle(task: _Task, future=None, failure=None) -> None:
+        if failure is None:
+            try:
+                result, wall, worker = transport.collect(task, future)
+            except AttemptFailure as exc:
+                failure = exc
+            else:
+                task.done = True
+                on_done(task, result, wall, worker)
+                return
+        if not failure.charge:
+            if failure.event:
+                report.event(failure.event, task.label, **failure.fields)
+            return
+        task.attempts += 1
+        report.event(
+            failure.event, task.label, attempt=task.attempts, **failure.fields
+        )
+        gave_up = task.attempts >= config.max_attempts
+        if gave_up:
+            given_up.add(task)
+        else:
+            task.ready_at = time.monotonic() + backoff(
+                config, task.digest, task.attempts
+            )
+        transport.charged(task, gave_up)
+
+    try:
+        while True:
+            transport.reap(in_flight, settle)
+            if transport.dead:
+                return
+            flying = set(in_flight.values())
+            waiting = [
+                t for t in work
+                if not t.done and t not in given_up and t not in flying
+            ]
+            if not waiting and not in_flight:
+                return
+            now = time.monotonic()
+            ready = [t for t in waiting if t.ready_at <= now]
+            for task in ready[: transport.slots(len(waiting) + len(in_flight))]:
+                future = transport.submit(task)
+                if future is None:
+                    break
+                in_flight[future] = task
+            if transport.dead:
+                return
+            if not in_flight:
+                # everything is backing off or waiting for a free slot
+                wakes = [t.ready_at for t in waiting if t.ready_at > now]
+                time.sleep(
+                    min(0.25, max(0.0, min(wakes) - now)) if wakes else 0.05
+                )
+                continue
+            done = wait(in_flight, transport.tick, FIRST_COMPLETED).done
+            for future in done:
+                settle(in_flight.pop(future), future)
+    finally:
+        transport.close(sum(not t.done for t in work))
+
+
+def _ladder(tasks: List[_Task], rungs: Sequence, root: str, on_done) -> None:
+    """Drive *tasks* down the ladder; the last rung is chaos-free
+    in-process execution, where a poison job gets one last chance and a
+    real bug surfaces with its original traceback."""
+    for rung in rungs:
+        _drive(tasks, rung, on_done)
+    for task in tasks:
+        if not task.done:
+            started = time.perf_counter()
+            result, _stored = _do_work(task.kind, task.key, task.config, root)
+            task.done = True
+            on_done(task, result, time.perf_counter() - started, "main")
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -579,8 +665,15 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-class _PhaseRunner:
-    """Run one phase's tasks across a self-healing process pool."""
+class PoolTransport:
+    """The local rung: a self-healing process pool.
+
+    Process chaos fires in its workers.  A job overrunning
+    ``job_timeout`` kills the pool; a ``BrokenProcessPool`` charges
+    every in-flight job.  The pool is rebuilt up to
+    ``max_pool_rebuilds`` times, then the rung dies (serial degrade).
+    A task it gives up on is quarantined, journaled by *on_quarantine*.
+    """
 
     def __init__(
         self,
@@ -589,113 +682,32 @@ class _PhaseRunner:
         config: SupervisorConfig,
         chaos: ChaosSpec,
         report: CampaignReport,
-        on_done: Callable[[_Task, object, float, str], None],
         on_quarantine: Optional[Callable[[_Task], None]] = None,
     ) -> None:
         self.n_workers = n_workers
         self.root = root
         self.config = config
-        # only process faults reach pool workers; network faults belong
-        # to the http transport layer
         self.chaos = chaos if chaos.process_active() else None
         self.report = report
-        self.on_done = on_done
         self.on_quarantine = on_quarantine
         self.counters = obs_metrics.supervisor_counters()
+        self.tick = max(0.02, min(0.25, config.job_timeout / 10.0))
         self.pool: Optional[ProcessPoolExecutor] = None
         self.rebuilds_left = config.max_pool_rebuilds
-        self.degraded = False
+        self.dead = False
+        self.broken = False
+        self._started: Dict[_Task, float] = {}
 
-    # -- pool lifecycle ------------------------------------------------
-    def _ensure_pool(self, remaining: int) -> None:
-        if self.pool is not None:
-            return
-        self.pool = ProcessPoolExecutor(
-            max_workers=min(self.n_workers, max(1, remaining))
-        )
+    def slots(self, active: int) -> int:
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(
+                max_workers=min(self.n_workers, max(1, active))
+            )
+        # at most n_workers in flight, so every submitted job is running
+        # and a pool death charges exactly the jobs it killed
+        return self.n_workers - len(self._started)
 
-    def _pool_died(self, reason: str) -> None:
-        if self.pool is not None:
-            _terminate_pool(self.pool)
-            self.pool = None
-        if self.rebuilds_left <= 0:
-            self.counters.serial_degradations += 1
-            self.report.degraded_serial = True
-            self.report.event("serial_degrade", "*", reason=reason)
-            raise _DegradedToSerial(reason)
-        self.rebuilds_left -= 1
-        self.counters.pool_rebuilds += 1
-        self.report.pool_rebuilds += 1
-        self.report.event("pool_rebuild", "*", reason=reason)
-
-    # -- task bookkeeping ----------------------------------------------
-    def _charge(self, task: _Task, kind: str, detail: str = "") -> None:
-        """Count one failed attempt; schedule the retry or quarantine."""
-        task.attempts += 1
-        task.future = None
-        self.report.event(kind, task.label, attempt=task.attempts, detail=detail)
-        if kind == "timeout":
-            self.counters.timeouts += 1
-            self.report.timeouts += 1
-        if task.attempts >= self.config.max_attempts:
-            task.quarantined = True
-            self.counters.quarantined += 1
-            self.report.quarantined.append(task.label)
-            self.report.event("quarantine", task.label, attempts=task.attempts)
-            if self.on_quarantine is not None:
-                self.on_quarantine(task)
-            return
-        self.counters.retries += 1
-        self.report.retries += 1
-        delay = min(
-            self.config.backoff_cap,
-            self.config.backoff_base * (2 ** (task.attempts - 1)),
-        )
-        rng = random.Random(f"{self.config.seed}|{task.digest}|{task.attempts}")
-        task.ready_at = time.monotonic() + delay * (
-            1.0 + self.config.jitter * rng.random()
-        )
-
-    def _complete(self, task: _Task, payload) -> None:
-        result, wall, pid, corrupted = payload
-        task.done = True
-        task.future = None
-        if corrupted:
-            self.counters.chaos_corrupts += 1
-            self.report.chaos_corrupts += 1
-            self.report.event("chaos_corrupt", task.label)
-        self.on_done(task, result, wall, f"pid:{pid}")
-
-    def _run_serial(self, task: _Task) -> None:
-        """Chaos-free in-process execution (quarantine / degraded mode)."""
-        started = time.perf_counter()
-        result, _stored = _do_work(task.kind, task.key, task.config, self.root)
-        task.done = True
-        self.on_done(task, result, time.perf_counter() - started, "main")
-
-    # -- the loop ------------------------------------------------------
-    def run(self, tasks: List[_Task]) -> None:
-        """Drive *tasks* to completion; every task ends ``done``."""
-        try:
-            if not self.degraded:
-                self._run_pooled(tasks)
-        except _DegradedToSerial:
-            self.degraded = True
-        finally:
-            if self.pool is not None:
-                # _terminate_pool, not shutdown(): a worker may be mid-hang
-                # and shutdown alone would leak it past process exit.
-                _terminate_pool(self.pool)
-                self.pool = None
-        # quarantined stragglers (and everything left after a serial
-        # degrade) complete in-process, chaos-free — a poison job gets
-        # one last deterministic chance, and a real bug surfaces with
-        # its original traceback
-        for task in tasks:
-            if not task.done:
-                self._run_serial(task)
-
-    def _submit(self, task: _Task, in_flight: Dict) -> bool:
+    def submit(self, task: _Task):
         payload = (
             task.kind, task.key, task.config, self.root,
             task.digest, task.attempts, self.chaos,
@@ -704,88 +716,93 @@ class _PhaseRunner:
             future = self.pool.submit(_supervised_worker, payload)
         except (BrokenProcessPool, RuntimeError) as exc:
             self._pool_died(f"submit failed: {exc!r}")
-            return False
-        task.future = future
-        task.started_at = time.monotonic()
-        in_flight[future] = task
-        return True
+            return None
+        self._started[task] = time.monotonic()
+        return future
 
-    def _run_pooled(self, tasks: List[_Task]) -> None:
-        in_flight: Dict = {}
-        tick = max(0.02, min(0.25, self.config.job_timeout / 10.0))
-        while True:
-            active = [t for t in tasks if not t.done and not t.quarantined]
-            if not active:
-                return
-            now = time.monotonic()
-            ready = [
-                t for t in active if t.future is None and t.ready_at <= now
-            ]
-            self._ensure_pool(len(active))
-            for task in ready:
-                if len(in_flight) >= self.n_workers:
-                    break
-                if not self._submit(task, in_flight):
-                    break
-            if not in_flight:
-                # everything is backing off — sleep to the soonest retry
-                waiting = [t.ready_at for t in active if t.future is None]
-                if waiting:
-                    time.sleep(min(0.5, max(0.0, min(waiting) - now)))
-                continue
-            done, _pending = wait(
-                set(in_flight), timeout=tick, return_when=FIRST_COMPLETED
-            )
-            broken = False
-            for future in done:
-                task = in_flight.pop(future)
-                try:
-                    payload = future.result()
-                except CancelledError:
-                    task.future = None
-                    continue
-                except BrokenProcessPool as exc:
-                    broken = True
-                    self._charge(task, "worker_death", repr(exc))
-                    continue
-                except Exception as exc:
-                    self._charge(task, "worker_error", repr(exc))
-                    continue
-                self._complete(task, payload)
+    def collect(self, task: _Task, future):
+        self._started.pop(task, None)
+        try:
+            result, wall, pid, corrupted = future.result()
+        except CancelledError:
+            raise AttemptFailure(None, charge=False) from None
+        except BrokenProcessPool as exc:
+            self.broken = True
+            raise AttemptFailure("worker_death", detail=repr(exc)) from None
+        except Exception as exc:
+            raise AttemptFailure("worker_error", detail=repr(exc)) from None
+        if corrupted:
+            self.counters.chaos_corrupts += 1
+            self.report.chaos_corrupts += 1
+            self.report.event("chaos_corrupt", task.label)
+        return result, wall, f"pid:{pid}"
+
+    def reap(self, in_flight: Dict, settle: Callable) -> None:
+        """Settle every in-flight job once the pool is broken or a job is
+        overdue, then rebuild the pool (or let the rung die)."""
+        now = time.monotonic()
+        overdue = {
+            task for task, started in self._started.items()
+            if now - started > self.config.job_timeout
+        }
+        broken = self.broken
+        if not broken and not overdue:
+            return
+        for future, task in list(in_flight.items()):
+            del in_flight[future]
             if broken:
-                # the pool is gone: every other in-flight job died with
-                # it; at most n_workers jobs get charged per death
-                for future, task in list(in_flight.items()):
-                    del in_flight[future]
-                    self._charge(task, "worker_death", "pool died")
-                self._pool_died("BrokenProcessPool")
-                continue
-            # watchdog: kill the pool when any running job is overdue
-            now = time.monotonic()
-            overdue = [
-                task
-                for task in in_flight.values()
-                if now - task.started_at > self.config.job_timeout
-            ]
-            if overdue:
-                for future, task in list(in_flight.items()):
-                    del in_flight[future]
-                    if future.done() and not future.cancelled():
-                        # finished in the window between wait() and now
-                        try:
-                            self._complete(task, future.result())
-                            continue
-                        except Exception:
-                            pass
-                    if task in overdue:
-                        self._charge(
-                            task,
-                            "timeout",
-                            f"exceeded {self.config.job_timeout:g}s",
-                        )
-                    else:
-                        task.future = None  # innocent bystander: requeue
-                self._pool_died("watchdog timeout")
+                # every in-flight job died with the pool
+                settle(task, failure=AttemptFailure(
+                    "worker_death", detail="pool died"
+                ))
+            elif future.done() and not future.cancelled():
+                settle(task, future)  # finished before the kill
+            elif task in overdue:
+                self.counters.timeouts += 1
+                self.report.timeouts += 1
+                settle(task, failure=AttemptFailure(
+                    "timeout", detail=f"exceeded {self.config.job_timeout:g}s"
+                ))
+            else:
+                # innocent bystander of the kill: requeue uncharged
+                settle(task, failure=AttemptFailure(None, charge=False))
+        self._started.clear()
+        self._pool_died("BrokenProcessPool" if broken else "watchdog timeout")
+
+    def _pool_died(self, reason: str) -> None:
+        if self.pool is not None:
+            _terminate_pool(self.pool)
+            self.pool = None
+        self.broken = False
+        if self.rebuilds_left <= 0:
+            self.dead = True
+            self.counters.serial_degradations += 1
+            self.report.degraded_serial = True
+            self.report.event("serial_degrade", "*", reason=reason)
+            return
+        self.rebuilds_left -= 1
+        self.counters.pool_rebuilds += 1
+        self.report.pool_rebuilds += 1
+        self.report.event("pool_rebuild", "*", reason=reason)
+
+    def charged(self, task: _Task, gave_up: bool) -> None:
+        if not gave_up:
+            self.counters.retries += 1
+            self.report.retries += 1
+            return
+        task.quarantined = True
+        self.counters.quarantined += 1
+        self.report.quarantined.append(task.label)
+        self.report.event("quarantine", task.label, attempts=task.attempts)
+        if self.on_quarantine is not None:
+            self.on_quarantine(task)
+
+    def close(self, left: int) -> None:
+        if self.pool is not None:
+            # _terminate_pool, not shutdown(): a worker may be mid-hang
+            # and shutdown alone would leak it past process exit
+            _terminate_pool(self.pool)
+            self.pool = None
 
 
 # ----------------------------------------------------------------------
@@ -848,51 +865,41 @@ def run_supervised(
         for index, job in enumerate(jobs_list):
             key = job.trace_key
             label = f"{key.abbrev}/{key.mode.value}"
-            memo = runner._STATS_CACHE.get((key, job.config))
-            if memo is not None:
-                results[index] = memo
+            digest = disk_cache.stats_digest(key, job.config)
+            journaled = digest in done_digests
+            cached = runner._STATS_CACHE.get((key, job.config))
+            if cached is not None:
                 report.prescan += 1
-                continue
-            started = time.perf_counter()
-            cached = runner.peek_cached_stats(key, job.config)
-            if cached is None and done_digests:
-                # a journaled cell invisible to the default-root peek
-                # (scratch store): try the campaign root directly
-                if disk_cache.stats_digest(key, job.config) in done_digests:
+            else:
+                started = time.perf_counter()
+                cached = runner.peek_cached_stats(key, job.config)
+                if cached is None and journaled:
+                    # a journaled cell invisible to the default-root peek
+                    # (scratch store): try the campaign root directly
                     cached = runner.peek_cached_stats(
                         key, job.config, root=root_str
                     )
-            wall = time.perf_counter() - started
-            if cached is None:
-                missing.append((index, job, key))
-                continue
+                wall = time.perf_counter() - started
+                if cached is None:
+                    missing.append((index, job, key))
+                    if journaled:
+                        # journaled, but the cached result vanished (or
+                        # got corrupted): it must be re-simulated
+                        counters.journal_stale += 1
+                        report.journal_stale += 1
+                        report.event("journal_stale", label)
+                    continue
+                if journaled:
+                    counters.resumed += 1
+                    report.resumed += 1
+                    obs_metrics.record_variant("sim", label, "resumed", wall)
+                else:
+                    report.prescan += 1
+                    obs_metrics.record_variant("sim", label, "disk", wall)
             results[index] = cached
-            if disk_cache.stats_digest(key, job.config) in done_digests:
-                counters.resumed += 1
-                report.resumed += 1
-                obs_metrics.record_variant("sim", label, "resumed", wall)
-            else:
-                report.prescan += 1
-                obs_metrics.record_variant("sim", label, "disk", wall)
-
-        # journal-done cells whose cached result vanished (or got
-        # corrupted): they must be re-simulated
-        for _index, job, key in missing:
-            if disk_cache.stats_digest(key, job.config) in done_digests:
-                counters.journal_stale += 1
-                report.journal_stale += 1
-                report.event(
-                    "journal_stale", f"{key.abbrev}/{key.mode.value}"
-                )
-
-        # journal every already-satisfied cell so an interruption right
-        # now still leaves a complete record
-        for index, job in enumerate(jobs_list):
-            if results[index] is None:
-                continue
-            digest = disk_cache.stats_digest(job.trace_key, job.config)
-            if digest not in done_digests:
-                label = f"{job.trace_key.abbrev}/{job.trace_key.mode.value}"
+            if not journaled:
+                # journal every already-satisfied cell so an interruption
+                # right now still leaves a complete record
                 journal.append(digest, label, "cached")
                 done_digests.add(digest)
 
@@ -905,27 +912,25 @@ def run_supervised(
         # imported lazily: transport imports this module at load time
         from repro.harness import transport as transport_mod
 
-        fleet = transport_mod.maybe_fleet(config, chaos, report)
+        addresses = transport_mod.fleet_addresses()
+        fleet = (
+            transport_mod.HttpTransport(addresses, config, chaos, report)
+            if addresses else None
+        )
 
         def journal_quarantine(task: _Task) -> None:
             journal.append_quarantine(task.digest, task.label)
 
-        def inherit_quarantine(task: _Task) -> bool:
-            if task.digest not in inherited_quarantine:
-                return False
-            task.quarantined = True
-            counters.resumed_quarantined += 1
-            report.resumed_quarantined += 1
-            report.event("resume_quarantine", task.label)
-            return True
+        def inherit_quarantine(task: _Task) -> None:
+            if task.digest in inherited_quarantine:
+                task.quarantined = True
+                counters.resumed_quarantined += 1
+                report.resumed_quarantined += 1
+                report.event("resume_quarantine", task.label)
 
         # ---- phase 1: unique traces ----------------------------------
-        seen: Set = set()
         trace_tasks: List[_Task] = []
-        for _, _, key in missing:
-            if key in seen:
-                continue
-            seen.add(key)
+        for key in dict.fromkeys(key for _, _, key in missing):
             memo = runner._TRACE_CACHE.get(key)
             path = disk_cache.trace_path(key, root=root_str)
             if memo is not None:
@@ -947,18 +952,22 @@ def run_supervised(
                     "trace", task.label, "generated", wall, worker=worker
                 )
 
-        runner_ = _PhaseRunner(
-            n_workers, root_str, config, chaos, report, trace_done,
-            on_quarantine=journal_quarantine,
-        )
+        def pool() -> PoolTransport:
+            return PoolTransport(
+                n_workers, root_str, config, chaos, report,
+                on_quarantine=journal_quarantine,
+            )
+
+        # with an http fleet the trace phase is skipped: workers own
+        # their stores and (re)generate traces inside sim jobs
+        pool_ok = True
         if trace_tasks and fleet is None:
-            # with an http fleet the trace phase is skipped: workers own
-            # their stores and (re)generate traces inside sim jobs
-            runner_.run(trace_tasks)
+            trace_pool = pool()
+            _ladder(trace_tasks, [trace_pool], root_str, trace_done)
+            pool_ok = not trace_pool.dead  # don't re-learn the lesson
 
         # ---- phase 2: simulations ------------------------------------
         sim_tasks: List[_Task] = []
-        job_by_index = {index: job for index, job, _ in missing}
         for index, job, key in missing:
             task = _Task(
                 "sim", key, job.config, index,
@@ -970,15 +979,14 @@ def run_supervised(
 
         def sim_done(task: _Task, result, wall: float, worker: str) -> None:
             results[task.index] = result
-            job = job_by_index[task.index]
-            runner.seed_stats_cache(task.key, job.config, result)
+            runner.seed_stats_cache(task.key, task.config, result)
             if worker.startswith("http:"):
                 source = "remote"
                 # remote workers own their stores; persist the result in
                 # the campaign root too, so the journal's promise (a
                 # journaled cell is loadable here) holds for --resume
                 disk_cache.store_stats(
-                    task.key, job.config, result, root=root_str
+                    task.key, task.config, result, root=root_str
                 )
             else:
                 source = "simulated"
@@ -988,17 +996,11 @@ def run_supervised(
             journal.append(task.digest, task.label, source)
             report.completed += 1
 
-        sim_runner = _PhaseRunner(
-            n_workers, root_str, config, chaos, report, sim_done,
-            on_quarantine=journal_quarantine,
-        )
-        sim_runner.degraded = runner_.degraded  # don't re-learn the lesson
-        if fleet is not None:
-            # degradation ladder rung 1: the fleet completes what it
-            # can; whatever it leaves not-done falls through to the
-            # local pool below, which itself degrades to serial
-            fleet.run(sim_tasks, sim_done)
-        sim_runner.run(sim_tasks)
+        # the ladder: fleet -> local pool -> serial
+        rungs = [fleet] if fleet is not None else []
+        if pool_ok:
+            rungs.append(pool())
+        _ladder(sim_tasks, rungs, root_str, sim_done)
 
         report.completed += report.prescan + report.resumed
         return results  # type: ignore[return-value]

@@ -20,6 +20,9 @@ Endpoints:
   surface a worker whose local cache writes started failing);
 * ``GET /healthz`` — liveness probe for the coordinator's heartbeats;
 * ``POST /shutdown`` — graceful stop (used by tests and deployments).
+
+The HTTP plumbing (:class:`QuietHTTPServer`, :class:`QuietHandler`) is
+shared with the sweep service (:mod:`repro.harness.service`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.harness import cache as disk_cache
 from repro.harness import supervisor
@@ -65,10 +68,66 @@ class _WorkerState:
             self._scratch = None
 
 
-class WorkerServer(ThreadingHTTPServer):
+class QuietHTTPServer(ThreadingHTTPServer):
+    """Daemon handler threads on a reusable address."""
+
     daemon_threads = True
     allow_reuse_address = True
 
+
+class QuietHandler(BaseHTTPRequestHandler):
+    """Request plumbing: JSON replies, a guarded body reader, no logging."""
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        pass  # the servers are driven by tests and CI; stay quiet
+
+    def _reply(self, status: int, body: bytes, content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        try:
+            self.wfile.write(body)
+        except OSError:
+            pass  # peer went away (or chaos dropped it); nothing to do
+
+    def _reply_json(self, status: int, payload: Dict) -> None:
+        self._reply(
+            status,
+            (json.dumps(payload, sort_keys=True) + "\n").encode(),
+            "application/json",
+        )
+
+    def _reply_error(self, status: int, message: str) -> None:
+        self._reply_json(status, {"ok": False, "error": message})
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` after answering 400 — a bad or
+        negative ``Content-Length`` must not reach ``rfile.read``, where
+        ``read(-1)`` would block until the client hangs up."""
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+            return self.rfile.read(length)
+        except (ValueError, OSError) as exc:
+            self._reply_error(400, f"bad body: {exc}")
+            return None
+
+
+def serve_until_interrupted(server: QuietHTTPServer, banner: str) -> None:
+    """Print ``"<banner> HOST:PORT"`` and serve until Ctrl-C."""
+    bound_host, bound_port = server.server_address[:2]
+    print(f"{banner} {bound_host}:{bound_port}", flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
+
+
+class WorkerServer(QuietHTTPServer):
     def __init__(self, address: Tuple[str, int], state: _WorkerState) -> None:
         super().__init__(address, _WorkerHandler)
         self.state = state
@@ -83,34 +142,16 @@ class WorkerServer(ThreadingHTTPServer):
         threading.Thread(target=_stop, daemon=True).start()
 
 
-class _WorkerHandler(BaseHTTPRequestHandler):
+class _WorkerHandler(QuietHandler):
     server_version = "repro-worker/1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # the worker is driven by tests and CI; stay quiet
-
-    # -- plumbing ------------------------------------------------------
-    def _reply(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except OSError:
-            pass  # peer went away (or chaos dropped it); nothing to do
 
     def _reply_sealed(self, status: int, record: dict) -> None:
         self._reply(
             status, transport.seal_record(record), "application/x-ndjson"
         )
 
-    def _reply_json(self, status: int, payload: dict) -> None:
-        self._reply(
-            status,
-            (json.dumps(payload, sort_keys=True) + "\n").encode(),
-            "application/json",
-        )
+    def _reply_error(self, status: int, message: str) -> None:
+        self._reply_sealed(status, {"ok": False, "error": message})
 
     # -- endpoints -----------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -147,16 +188,13 @@ class _WorkerHandler(BaseHTTPRequestHandler):
             # would drop it, never served
             self.close_connection = True
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            blob = self.rfile.read(length)
-        except (ValueError, OSError):
-            self._reply_sealed(400, {"ok": False, "error": "unreadable body"})
+        blob = self._read_body()
+        if blob is None:
             return
         try:
             kind, key, config, digest, _attempt = transport.decode_job(blob)
         except transport.TransportProtocolError as exc:
-            self._reply_sealed(400, {"ok": False, "error": str(exc)})
+            self._reply_error(400, str(exc))
             return
         started = time.perf_counter()
         try:
@@ -227,16 +265,8 @@ def serve_worker(listen: str, max_jobs: Optional[int] = None) -> int:
     """Blocking entry point behind ``python -m repro worker``."""
     host, port = transport.parse_hostport(listen)
     server = make_worker(host, port, max_jobs=max_jobs)
-    bound_host, bound_port = server.server_address[:2]
-    print(f"worker listening on {bound_host}:{bound_port}", flush=True)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        serve_until_interrupted(server, "worker listening on")
     finally:
-        try:
-            server.server_close()
-        except OSError:
-            pass
         server.state.cleanup()
     return 0

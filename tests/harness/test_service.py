@@ -79,6 +79,26 @@ def _sweep(server, payload: dict):
         return exc.code, [json.loads(exc.read().decode())]
 
 
+def _raw_post(server, path: str, length: str):
+    """POST with a hand-written ``Content-Length`` and no body, keeping
+    the connection open; returns ``(status, body)`` of the reply."""
+    import socket
+
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)  # socket.timeout fails the test
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
 class TestParseSweep:
     def test_defaults(self):
         benchmarks, modes, seed, init_ops, sim_ops = parse_sweep({})
@@ -99,6 +119,8 @@ class TestParseSweep:
         for payload, message in (
             ({"benchmarks": ["NOPE"]}, "unknown benchmark"),
             ({"benchmarks": "LL"}, "non-empty list"),
+            ({"benchmarks": []}, "non-empty list"),
+            ({"modes": []}, "non-empty list"),
             ({"modes": ["warp9"]}, "unknown mode"),
             ({"modes": ["sp0"]}, "unknown mode"),
             ({"sim_ops": -5}, "positive"),
@@ -160,7 +182,83 @@ class TestServiceEndpoints:
             urllib.request.urlopen(request, timeout=10)
         assert err.value.code == 400
 
+    def test_negative_content_length_is_a_400(self, service):
+        # rfile.read(-1) would wait for the client to hang up: the
+        # request must be answered, not left hanging
+        status, body = _raw_post(service, "/sweep", "-1")
+        assert status == 400
+        assert "Content-Length" in json.loads(body)["error"]
+
     def test_unknown_paths_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(service, "/sweeps")
         assert err.value.code == 404
+
+
+class TestConcurrentSweeps:
+    def test_concurrent_sweeps_match_the_serial_oracle(self, monkeypatch):
+        """Eight overlapping sweeps at once through one service at
+        jobs=2: every streamed cell equals a serial run_variants."""
+        from repro.harness.parallel import VariantJob, run_variants
+        from repro.harness.service import _resolve_mode
+
+        small = dict(init_ops=40, sim_ops=4)
+        pairs = [("LL", "HM"), ("HM", "BT"), ("BT", "LL"), ("LL",)]
+        mode_sets = [("base", "sp256"), ("log+p", "base"), ("sp256", "log+p")]
+        requests = [
+            {"benchmarks": list(pairs[i % 4]),
+             "modes": list(mode_sets[i % 3]), **small}
+            for i in range(8)
+        ]
+        cells = sorted({
+            (ab, label)
+            for request in requests
+            for ab in request["benchmarks"]
+            for label in request["modes"]
+        })
+        monkeypatch.setenv(cache.ENV_NO_CACHE, "1")
+        baseline_stats = run_variants(
+            [
+                VariantJob(ab, mode, config, **small)
+                for ab, label in cells
+                for _label, mode, config in [_resolve_mode(label)]
+            ],
+            jobs=1,
+        )
+        baseline = {
+            cell: (stats.cycles, stats.instructions)
+            for cell, stats in zip(cells, baseline_stats)
+        }
+        monkeypatch.delenv(cache.ENV_NO_CACHE)
+        clear_trace_cache()
+
+        server = make_service(jobs=2)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        replies = [None] * len(requests)
+
+        def fire(index):
+            replies[index] = _sweep(server, requests[index])
+
+        try:
+            clients = [
+                threading.Thread(target=fire, args=(i,))
+                for i in range(len(requests))
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=300)
+        finally:
+            server.shutdown()
+            server.server_close()
+        for request, reply in zip(requests, replies):
+            assert reply is not None, request
+            status, lines = reply
+            assert status == 200
+            assert lines[-1]["done"] is True, lines[-1]
+            expected = len(request["benchmarks"]) * len(request["modes"])
+            assert lines[-1]["cells"] == expected
+            for line in lines[:-1]:
+                cell = (line["benchmark"], line["mode"])
+                assert (line["cycles"], line["instructions"]) == baseline[cell]

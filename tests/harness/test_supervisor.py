@@ -407,3 +407,156 @@ class TestCliFlags:
             ["validate", "--failures-out", "x.json"],
         ):
             build_parser().parse_args(argv)
+
+
+class TestDrive:
+    """The one retry loop, driven directly: scripted futures on a fake
+    clock, so the event sequence and the backoff delays are exact."""
+
+    CONFIG = supervisor.SupervisorConfig(
+        job_timeout=60.0, max_attempts=2, backoff_base=0.01,
+        backoff_cap=0.04, jitter=0.5, seed=0,
+    )
+
+    class Clock:
+        def __init__(self):
+            self.now = 100.0
+
+        def monotonic(self):
+            return self.now
+
+        perf_counter = monotonic
+
+        def sleep(self, seconds):
+            self.now += seconds
+
+    @staticmethod
+    def _future(outcome):
+        from concurrent.futures import Future
+
+        future = Future()
+        if isinstance(outcome, Exception):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
+        return future
+
+    class NetRung:
+        """An http-like first rung: one slot, a scripted outcome per
+        submission, gives up with ``fleet_exhausted``."""
+
+        tick = 0.01
+        dead = False
+
+        def __init__(self, config, report, script, clock):
+            self.config, self.report = config, report
+            self.script, self.clock = script, clock
+            self.submits, self.left = [], None
+
+        def slots(self, active):
+            return 1
+
+        def submit(self, task):
+            self.submits.append((task.label, task.attempts, self.clock.now))
+            return TestDrive._future(self.script[task.label].pop(0))
+
+        def collect(self, task, future):
+            outcome = future.result()
+            if outcome == "fail":
+                raise supervisor.AttemptFailure(
+                    "net_timeout", worker="w0", detail="scripted"
+                )
+            return outcome, 0.0, "http:w0"
+
+        def reap(self, in_flight, settle):
+            pass
+
+        def charged(self, task, gave_up):
+            if gave_up:
+                self.report.event(
+                    "fleet_exhausted", task.label, attempts=task.attempts
+                )
+
+        def close(self, left):
+            self.left = left
+
+    def test_retry_give_up_hand_off_and_quarantine(self, tmp_path, monkeypatch):
+        clock = self.Clock()
+        monkeypatch.setattr(supervisor, "time", clock)
+        monkeypatch.setattr(
+            supervisor, "_do_work",
+            lambda kind, key, config, root: (f"serial:{key}", None),
+        )
+        config = self.CONFIG
+        backoff = supervisor.backoff
+        # the retries below interleave in the order of these delays
+        assert backoff(config, "dA", 1) < backoff(config, "dB", 1)
+        report = supervisor.CampaignReport(campaign="c", jobs=2)
+        journal = supervisor.CampaignJournal(tmp_path, "c")
+        tasks = [
+            supervisor._Task("sim", name, None, i, name, f"d{name}")
+            for i, name in enumerate("AB")
+        ]
+        net = self.NetRung(
+            config, report, {"A": ["fail", "fail"], "B": ["fail", "fail"]},
+            clock,
+        )
+
+        class ScriptedPool(supervisor.PoolTransport):
+            """The real pool rung's policy around scripted futures."""
+
+            script = {"A": [RuntimeError("boom"), RuntimeError("boom")],
+                      "B": [("pool:B", 0.0, 42, False)]}
+
+            def slots(self, active):
+                return 1
+
+            def submit(self, task):
+                return TestDrive._future(self.script[task.label].pop(0))
+
+        pool = ScriptedPool(
+            2, str(tmp_path), config, supervisor.ChaosSpec(), report,
+            on_quarantine=lambda t: journal.append_quarantine(t.digest, t.label),
+        )
+        done = []
+
+        def on_done(task, result, wall, worker):
+            done.append((task.label, result, worker))
+
+        supervisor._ladder(tasks, [net, pool], str(tmp_path), on_done)
+        journal.close()
+
+        def timeout(job, attempt):
+            return {"event": "net_timeout", "job": job, "attempt": attempt,
+                    "worker": "w0", "detail": "scripted"}
+
+        def error(attempt):
+            return {"event": "worker_error", "job": "A", "attempt": attempt,
+                    "detail": repr(RuntimeError("boom"))}
+
+        assert report.events == [
+            # rung 1: every charge backs off, max_attempts gives up
+            timeout("A", 1),
+            timeout("B", 1),
+            timeout("A", 2),
+            {"event": "fleet_exhausted", "job": "A", "attempts": 2},
+            timeout("B", 2),
+            {"event": "fleet_exhausted", "job": "B", "attempts": 2},
+            # rung 2: attempts restart at 0; B completes, A is quarantined
+            error(1),
+            error(2),
+            {"event": "quarantine", "job": "A", "attempts": 2},
+        ]
+        # retries wait out the seeded backoff, to the tick of the clock
+        start = 100.0
+        assert net.submits[:2] == [("A", 0, start), ("B", 0, start)]
+        assert net.submits[2][:2] == ("A", 1)
+        assert net.submits[2][2] == pytest.approx(start + backoff(config, "dA", 1))
+        assert net.submits[3][:2] == ("B", 1)
+        assert net.submits[3][2] == pytest.approx(start + backoff(config, "dB", 1))
+        assert net.left == 2  # both handed to the next rung
+        assert report.retries == 1  # the pool's one re-submission of A
+        assert report.quarantined == ["A"]
+        assert done == [("B", "pool:B", "pid:42"), ("A", "serial:A", "main")]
+        # only the task that fell to serial is journaled as quarantined
+        assert journal.load_quarantined() == {"dA"}

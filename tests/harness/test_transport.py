@@ -19,16 +19,7 @@ from repro.uarch.config import MachineConfig
 
 SMALL = dict(init_ops=40, sim_ops=4)
 
-TRANSPORT_ENV = (
-    transport.ENV_TRANSPORT,
-    transport.ENV_WORKERS,
-    transport.ENV_NET_TIMEOUT,
-    transport.ENV_WORKER_MAX_FAILURES,
-    transport.ENV_WORKER_QUARANTINE,
-    transport.ENV_WORKER_MAX_QUARANTINES,
-    transport.ENV_HEARTBEAT_INTERVAL,
-    transport.ENV_HEARTBEAT_MISSES,
-)
+TRANSPORT_ENV = (transport.ENV_TRANSPORT, transport.ENV_WORKERS)
 
 
 @pytest.fixture(autouse=True)
@@ -44,8 +35,7 @@ def isolated(tmp_path, monkeypatch):
     ) + TRANSPORT_ENV:
         monkeypatch.delenv(var, raising=False)
     # fleet tests should fail fast, not wait out production timeouts
-    monkeypatch.setenv(transport.ENV_NET_TIMEOUT, "10")
-    monkeypatch.setenv(transport.ENV_WORKER_QUARANTINE, "0.05")
+    monkeypatch.setenv(supervisor.ENV_JOB_TIMEOUT, "10")
     clear_trace_cache()
     cache.reset_runtime_disable()
     obs_metrics.reset_metrics()
@@ -159,7 +149,7 @@ class TestProtocol:
         rng = random.Random(0)
         rejected = 0
         for _ in range(16):
-            damaged = transport._garble_bytes(sealed, rng)
+            damaged = supervisor.damage_bytes(sealed, rng)
             try:
                 transport.unseal_record(damaged)
             except transport.TransportProtocolError:
@@ -201,32 +191,64 @@ class TestConfiguration:
             transport.configured_transport()
 
     def test_http_without_workers_is_an_error(self):
+        assert transport.fleet_addresses() == []  # local: no fleet
         transport.set_transport("http")
-        report = supervisor.CampaignReport(campaign="c", jobs=0)
         with pytest.raises(transport.TransportConfigError, match="worker"):
-            transport.maybe_fleet(
-                supervisor.current_config(), supervisor.ChaosSpec(), report
-            )
+            transport.fleet_addresses()
 
-    def test_fleet_config_env(self, monkeypatch):
-        monkeypatch.setenv(transport.ENV_NET_TIMEOUT, "1.5")
-        monkeypatch.setenv(transport.ENV_WORKER_MAX_FAILURES, "2")
-        monkeypatch.setenv(transport.ENV_HEARTBEAT_INTERVAL, "0.25")
-        config = transport.FleetConfig.from_env()
-        assert config.request_timeout == 1.5
-        assert config.worker_max_failures == 2
-        assert config.heartbeat_interval == 0.25
+    def test_endpoint_policy_derives_from_supervisor_config(self, monkeypatch):
+        monkeypatch.setenv(supervisor.ENV_JOB_TIMEOUT, "1.5")
+        monkeypatch.setenv(supervisor.ENV_MAX_ATTEMPTS, "2")
+        monkeypatch.setenv(supervisor.ENV_MAX_POOL_REBUILDS, "1")
+        config = supervisor.current_config()
+        report = supervisor.CampaignReport(campaign="c", jobs=0)
+        fleet = transport.HttpTransport(
+            ["127.0.0.1:1", "127.0.0.1:2"], config, None, report
+        )
+        first, second = fleet.endpoints
 
-    def test_fleet_config_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(transport.ENV_NET_TIMEOUT, "soon")
-        monkeypatch.setenv(transport.ENV_WORKER_MAX_FAILURES, "-2")
-        monkeypatch.setenv(transport.ENV_WORKER_QUARANTINE, "-1")
-        monkeypatch.setenv(transport.ENV_HEARTBEAT_MISSES, "often")
-        config = transport.FleetConfig.from_env()
-        assert config.request_timeout == 60.0
-        assert config.worker_max_failures == 1  # clamped, not defaulted
-        assert config.worker_quarantine_s == 0.0
-        assert config.heartbeat_max_misses == 3
+        # the request deadline is job_timeout
+        deadlines = []
+
+        def fake_http(endpoint, method, path, body, timeout):
+            deadlines.append(timeout)
+            raise transport._NetError("conn", "refused")
+
+        monkeypatch.setattr(fleet, "_http", fake_http)
+        job = _jobs()[0]
+        task = supervisor._Task(
+            "sim", job.trace_key, job.config, 0, "LL/base", "d0"
+        )
+        with pytest.raises(transport._NetError):
+            fleet._request_job(first, task, 0)
+        assert deadlines == [1.5]
+
+        # max_attempts consecutive failures quarantine an endpoint for
+        # the backoff a task would get
+        fleet._charge_endpoint(first, "timeout")
+        assert first.quarantined_until == 0.0
+        fleet._charge_endpoint(first, "timeout")
+        event = report.events[-1]
+        assert event["event"] == "worker_quarantine"
+        assert event["seconds"] == round(
+            supervisor.backoff(config, first.label, 1), 3
+        )
+        assert first.quarantined_until > 0.0 and not first.dead
+        # ...and max_pool_rebuilds quarantines later it is dropped
+        fleet._charge_endpoint(first, "garble")
+        fleet._charge_endpoint(first, "garble")
+        assert first.dead
+
+        # max_attempts missed probes mark an idle endpoint dead
+        from concurrent.futures import Future
+
+        for _ in range(config.max_attempts):
+            probe = Future()
+            probe.set_result(False)
+            fleet._probes[probe] = second
+            fleet.reap({}, None)
+        assert second.dead and fleet.dead
+        fleet.close(0)
 
 
 # ----------------------------------------------------------------------
@@ -251,10 +273,10 @@ class TestNetworkChaosSpec:
     def test_network_chaos_does_not_reach_pool_workers(self):
         spec = supervisor.ChaosSpec.parse("drop:1.0")
         report = supervisor.CampaignReport(campaign="c", jobs=0)
-        runner = supervisor._PhaseRunner(
-            1, ".", supervisor.current_config(), spec, report, lambda *a: None
+        pool = supervisor.PoolTransport(
+            1, ".", supervisor.current_config(), spec, report
         )
-        assert runner.chaos is None  # net faults belong to the transport
+        assert pool.chaos is None  # net faults belong to the http transport
 
 
 # ----------------------------------------------------------------------
@@ -321,8 +343,8 @@ class TestFleetExecution:
         jobs = _jobs()
         baseline = _serial_baseline(jobs, monkeypatch)
         monkeypatch.setenv(supervisor.ENV_CHAOS, "partition:1.0")
-        monkeypatch.setenv(transport.ENV_WORKER_MAX_FAILURES, "1")
-        monkeypatch.setenv(transport.ENV_WORKER_MAX_QUARANTINES, "0")
+        monkeypatch.setenv(supervisor.ENV_MAX_ATTEMPTS, "1")
+        monkeypatch.setenv(supervisor.ENV_MAX_POOL_REBUILDS, "0")
         results = run_variants(jobs, jobs=2)
         assert results == baseline
         counters = obs_metrics.transport_counters()
@@ -343,8 +365,8 @@ class TestFleetExecution:
                 f"127.0.0.1:{server_b.server_address[1]}",
             ]
         )
-        monkeypatch.setenv(transport.ENV_WORKER_MAX_FAILURES, "1")
-        monkeypatch.setenv(transport.ENV_WORKER_MAX_QUARANTINES, "0")
+        monkeypatch.setenv(supervisor.ENV_MAX_ATTEMPTS, "1")
+        monkeypatch.setenv(supervisor.ENV_MAX_POOL_REBUILDS, "0")
         jobs = _jobs()
         baseline = _serial_baseline(jobs, monkeypatch)
         try:
@@ -361,8 +383,8 @@ class TestFleetExecution:
     def test_all_workers_unreachable_falls_back_locally(self, monkeypatch):
         transport.set_transport("http")
         transport.set_workers([f"127.0.0.1:{_free_closed_port()}"])
-        monkeypatch.setenv(transport.ENV_WORKER_MAX_FAILURES, "1")
-        monkeypatch.setenv(transport.ENV_WORKER_MAX_QUARANTINES, "0")
+        monkeypatch.setenv(supervisor.ENV_MAX_ATTEMPTS, "1")
+        monkeypatch.setenv(supervisor.ENV_MAX_POOL_REBUILDS, "0")
         jobs = _jobs()
         baseline = _serial_baseline(jobs, monkeypatch)
         results = run_variants(jobs, jobs=2)
@@ -373,7 +395,7 @@ class TestFleetExecution:
         assert counters.degraded_local >= 1
 
     def test_heartbeats_probe_idle_workers(self, fleet, monkeypatch):
-        monkeypatch.setenv(transport.ENV_HEARTBEAT_INTERVAL, "0.01")
+        monkeypatch.setattr(transport, "PROBE_INTERVAL", 0.01)
         jobs = _jobs()
         run_variants(jobs, jobs=2)
         assert obs_metrics.transport_counters().heartbeats > 0

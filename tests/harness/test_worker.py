@@ -74,6 +74,26 @@ def _post(server, path: str, body: bytes):
         return exc.code, exc.read()
 
 
+def _raw_post(server, path: str, length: str):
+    """POST with a hand-written ``Content-Length`` and no body, keeping
+    the connection open; returns ``(status, body)`` of the reply."""
+    import socket
+
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)  # socket.timeout fails the test
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
 def _job():
     return VariantJob("LL", PersistMode.LOG_P_SF, MachineConfig(), **SMALL)
 
@@ -133,6 +153,14 @@ class TestEndpoints:
         assert status == 400
         record = transport.unseal_record(body)  # errors are sealed too
         assert record["ok"] is False and "error" in record
+
+    def test_negative_content_length_gets_sealed_400(self, worker):
+        # rfile.read(-1) would wait for the client to hang up: the
+        # request must be answered, not left hanging
+        status, body = _raw_post(worker, "/job", "-1")
+        assert status == 400
+        record = transport.unseal_record(body)
+        assert record["ok"] is False and "Content-Length" in record["error"]
 
     def test_failing_job_gets_sealed_500(self, worker):
         # an unknown benchmark passes protocol checks but fails execution
