@@ -17,7 +17,8 @@ Times the three layers the performance work targets and records them in
   columns/segments prewarmed — see ``docs/PERFORMANCE.md``).  The NumPy
   kernel's best rep is attributed per phase (classify vs solve), and
   ``classify_ips`` reports the classification pass's own throughput on
-  the miss-heavy cell.
+  the miss-heavy cell, and ``sp_ips`` the speculative machine's on a
+  Log+P+Sf trace that runs almost entirely inside speculative epochs.
 
 The headline ``pipeline_ips`` is the sustained single-trace number for
 the *active* backend; ``pipeline_ips_by_backend`` carries both
@@ -85,7 +86,11 @@ DEFAULT_OUTPUT = "BENCH_harness.json"
 #: and the append-only ``BENCH_history.jsonl`` trail every run joins
 #: (``bench --compare`` reads it — see :func:`compare_to_history`).
 #: 8: dropped ``classify_mode`` (the kernel has one classification pass).
-BENCH_SCHEMA_VERSION = 8
+#: 9: added the speculative sustained cell (``sp_trace``,
+#: ``sp_instructions``, ``sp_seconds``, ``sp_ips``, ``sp_ips_by_backend``
+#: with its own ``SP_IPS_FLOORS``): the paper's mechanism, SP256, on a
+#: Log+P+Sf trace — none of the other cells runs a speculative epoch.
+BENCH_SCHEMA_VERSION = 9
 
 #: Append-only JSON-lines trail of every bench record ever taken on
 #: this checkout; ``bench --compare`` mines it for the best comparable
@@ -105,6 +110,7 @@ COMPARE_METRICS = (
     "sweep_ips_by_backend",
     "classify_ips",
     "system_ips",
+    "sp_ips_by_backend",
 )
 
 #: Sustained-throughput trace: the paper's linked-list benchmark on the
@@ -129,6 +135,15 @@ MISS_INIT_OPS = 20_000
 MISS_SIM_OPS = 5_000
 MISS_SIM_OPS_QUICK = 1_200
 
+#: Speculative sustained cell: String Swap under Log+P+Sf on the SP256
+#: machine.  Its barriers come so densely that speculation, once entered,
+#: never drains, so nearly every instruction runs inside a speculative
+#: epoch — the segment walker's speculative phase, its commit-horizon
+#: polls, and the epoch/SSB bookkeeping delegated at barriers.
+SP_BENCHMARK = "SS"
+SP_SIM_OPS = 160
+SP_SIM_OPS_QUICK = 80
+
 #: Multi-core throughput cell: a moderately contended 2-core hash-map
 #: run on the speculative machine, so the measurement covers the whole
 #: co-simulation driver — min-clock scheduling, store broadcasts, BLT
@@ -152,6 +167,10 @@ PIPELINE_IPS_FLOORS = {"python": 800_000, "numpy": 3_500_000}
 #: same half-of-measured policy, sized to the classification-bound
 #: regime where throughput is far below the LL cell's.
 MISS_IPS_FLOORS = {"python": 250_000, "numpy": 1_000_000}
+
+#: Floors for the speculative sustained cell (``sp_ips_by_backend``),
+#: same half-of-measured policy.
+SP_IPS_FLOORS = {"python": 250_000, "numpy": 250_000}
 
 #: Backwards-compatible alias: the floor every backend must clear.
 PIPELINE_IPS_FLOOR = PIPELINE_IPS_FLOORS["python"]
@@ -290,6 +309,13 @@ def run_bench(
             )
             miss.columns()
             miss.segments()
+            sp_ops = SP_SIM_OPS_QUICK if quick else SP_SIM_OPS
+            sp_trace = build_trace(
+                SP_BENCHMARK, PersistMode.LOG_P_SF, seed=seed, sim_ops=sp_ops,
+            )
+            sp_trace.columns()
+            sp_trace.segments()
+            sp_config = MachineConfig().with_sp(256)
             system_ops = SYSTEM_SIM_OPS_QUICK if quick else SYSTEM_SIM_OPS
             system_run = generate_concurrent(
                 SYSTEM_BENCHMARK, PersistMode.LOG_P_SF,
@@ -304,9 +330,11 @@ def run_bench(
             }
             sustained_best = {backend: float("inf") for backend in backends}
             miss_best = {backend: float("inf") for backend in backends}
+            sp_best = {backend: float("inf") for backend in backends}
             sweep_instructions = 0
             sustained_instructions = 0
             miss_instructions = 0
+            sp_instructions = 0
             sustained_phases: Optional[Dict[str, float]] = None
             miss_phases: Optional[Dict[str, float]] = None
             gc_was_enabled = gc.isenabled()
@@ -349,12 +377,19 @@ def run_bench(
                             if backend == "numpy":
                                 miss_phases = kernel_mod.phase_seconds()
                         miss_instructions = stats.instructions
+                for rep in range(reps):
+                    for backend in backends:
+                        t0 = time.perf_counter()
+                        stats = simulate(sp_trace, sp_config, kernel=backend)
+                        elapsed = time.perf_counter() - t0
+                        if elapsed < sp_best[backend]:
+                            sp_best[backend] = elapsed
+                        sp_instructions = stats.instructions
                 # multi-core driver throughput (backend-independent: the
                 # co-sim driver always walks the exact loop); a fresh
                 # SystemModel per rep, since core stats accumulate
                 system_best = float("inf")
                 system_instructions = 0
-                sp_config = MachineConfig().with_sp(256)
                 for rep in range(reps):
                     system = SystemModel(sp_config, n_cores=SYSTEM_CORES)
                     t0 = time.perf_counter()
@@ -384,6 +419,11 @@ def run_bench(
             miss_ips = {
                 backend: round(miss_instructions / seconds)
                 for backend, seconds in miss_best.items()
+                if seconds
+            }
+            sp_ips = {
+                backend: round(sp_instructions / seconds)
+                for backend, seconds in sp_best.items()
                 if seconds
             }
         clear_trace_cache()
@@ -441,6 +481,16 @@ def run_bench(
         "sweep_seconds": round(sweep_seconds.get(active_backend, 0.0), 3),
         "sweep_ips": sweep_ips.get(active_backend),
         "sweep_ips_by_backend": sweep_ips,
+        "sp_trace": {
+            "benchmark": SP_BENCHMARK,
+            "mode": PersistMode.LOG_P_SF.value,
+            "sim_ops": sp_ops,
+            "ssb_entries": sp_config.ssb_entries,
+        },
+        "sp_instructions": sp_instructions,
+        "sp_seconds": round(sp_best.get(active_backend, 0.0), 3),
+        "sp_ips": sp_ips.get(active_backend),
+        "sp_ips_by_backend": sp_ips,
         "system_trace": {
             "benchmark": SYSTEM_BENCHMARK,
             "mode": PersistMode.LOG_P_SF.value,
@@ -686,6 +736,19 @@ def render_bench(record: Dict[str, object]) -> str:
             f"  kernel phase split: {split}"
             f" (classify_ips {_fmt(record.get('classify_ips'), ',')})"
         )
+    if record.get("sp_ips") is not None:
+        lines.append(
+            f"  speculative SP256 : {_fmt(record.get('sp_ips'), '>8,')} instr/s"
+            f" sustained ({_fmt(record.get('sp_instructions'), ',')} instrs"
+            f" in {_fmt(record.get('sp_seconds'))} s)"
+        )
+        sp_by_backend = record.get("sp_ips_by_backend")
+        if isinstance(sp_by_backend, dict) and sp_by_backend:
+            for backend in sorted(sp_by_backend):
+                lines.append(
+                    f"    {backend:<8}        : "
+                    f"{_fmt(sp_by_backend[backend], '>8,')} instr/s sustained"
+                )
     if record.get("system_ips") is not None:
         descriptor = record.get("system_trace") or {}
         lines.append(
@@ -737,16 +800,22 @@ def check_floor(
                 f"{ips:,} instr/s is below the checked-in floor of "
                 f"{floor:,} instr/s"
             )
-    # the miss-heavy cell has its own floors (absent in pre-v6 records);
-    # only enforced when default floors are in effect, so callers passing
-    # explicit LL floors keep the old single-cell contract
-    miss_by_backend = record.get("miss_ips_by_backend")
-    if floors is PIPELINE_IPS_FLOORS and isinstance(miss_by_backend, dict):
-        for backend, ips in sorted(miss_by_backend.items()):
-            floor = MISS_IPS_FLOORS.get(backend)
+    # the miss-heavy and speculative cells have their own floors (absent
+    # in pre-v6 / pre-v9 records); only enforced when default floors are
+    # in effect, so callers passing explicit LL floors keep the old
+    # single-cell contract
+    for metric, cell, cell_floors in (
+        ("miss_ips_by_backend", "miss-heavy", MISS_IPS_FLOORS),
+        ("sp_ips_by_backend", "speculative", SP_IPS_FLOORS),
+    ):
+        cell_by_backend = record.get(metric)
+        if floors is not PIPELINE_IPS_FLOORS or not isinstance(cell_by_backend, dict):
+            continue
+        for backend, ips in sorted(cell_by_backend.items()):
+            floor = cell_floors.get(backend)
             if floor is not None and ips < floor:
                 problems.append(
-                    f"miss-heavy throughput regression ({backend} backend): "
+                    f"{cell} throughput regression ({backend} backend): "
                     f"{ips:,} instr/s is below the checked-in floor of "
                     f"{floor:,} instr/s"
                 )

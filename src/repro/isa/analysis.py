@@ -177,6 +177,14 @@ class _LazyEntries:
         return iter(self._materialise())
 
 
+def entry_rows(entries) -> List[Tuple[int, int, int, int, int]]:
+    """``entries`` as a plain list (materialising a lazy row view), for
+    hot loops that index it once per entry."""
+    if isinstance(entries, _LazyEntries):
+        return entries._materialise()
+    return entries
+
+
 def _segment_trace_np(columns: TraceColumns) -> TraceSegments:
     """Vectorized segmentation: same entries as the scalar loop below,
     computed with array operations (paper-scale traces segment in

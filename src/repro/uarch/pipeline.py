@@ -29,12 +29,17 @@ over its columnar form) instead of one ``Instr`` object per micro-op.
 Outside speculation the walker handles compute runs, loads, stores, and
 flush ops in fully inlined loops with the sliding-window state bound to
 locals, and fast-forwards long compute runs with a closed-form
-steady-state advance; fences, pcommits, barriers, and everything under
-speculation delegate to the exact per-op machinery (:meth:`_step`).  The
-walker is cycle-for-cycle identical to the preserved reference model
-(:mod:`repro.uarch.pipeline_ref`) — asserted by the conformance oracle —
-and any monkey-patched or overridden internal routes the run back to the
-exact loop so fault injections and subclasses keep working.
+steady-state advance.  Inside speculative epochs it does the same for
+compute runs, loads, and stores/flushes that find a free SSB slot, up to
+the *commit horizon* — the oldest epoch's gating-barrier completion,
+before which the epoch schedule cannot move — and polls the schedule
+exactly only when retirement reaches it.  Fences, pcommits, barriers,
+strongly-ordered ops, and SSB-full stalls delegate to the exact per-op
+machinery (:meth:`_step`).  The walker is cycle-for-cycle identical to
+the preserved reference model (:mod:`repro.uarch.pipeline_ref`) —
+asserted by the conformance oracle — and any monkey-patched or
+overridden internal routes the run back to the exact loop so fault
+injections and subclasses keep working.
 
 **Observability.**  Constructed with a :mod:`repro.obs` tracer
 (``PipelineModel(config, tracer=SpanTracer())``) the model emits
@@ -57,7 +62,7 @@ from repro.core.bloom import BloomFilter
 from repro.core.checkpoints import CheckpointBuffer
 from repro.core.epochs import EpochManager
 from repro.core.ssb import SpeculativeStoreBuffer
-from repro.isa.analysis import K_BARRIER, K_TAIL
+from repro.isa.analysis import K_BARRIER, K_TAIL, entry_rows
 from repro.isa.columns import TraceColumns
 from repro.isa.ops import Op
 from repro.isa.trace import Trace
@@ -263,10 +268,20 @@ class PipelineModel:
         """Walk the pre-computed segment list (see
         :class:`repro.isa.analysis.TraceSegments`).
 
-        Outside speculation, compute runs and load/store/flush events are
-        handled in-line with the sliding-window state held in locals;
-        fences, pcommits, clflush, barrier triples, and all execution
-        under speculation delegate to :meth:`_step`/:meth:`_barrier`.
+        Three phases alternate, each entered at an entry boundary:
+
+        * the **fast phase** (outside speculation, warm windows) handles
+          compute runs and load/store/flush events in-line with the
+          sliding-window state held in locals — or hands whole batches to
+          the vectorized kernel — and breaks at the next fence, pcommit,
+          clflush, or barrier;
+        * the **speculative phase** (:meth:`_walk_speculative`, while an
+          epoch is open and the fetch queue and ROB are full) does the
+          same for compute runs, loads, and stores/flushes with a free
+          SSB slot below the commit horizon, until speculation ends;
+        * the **slow phase** steps whatever is left exactly through
+          :meth:`_step`/:meth:`_barrier` — the event that broke a fast
+          or speculative phase, and every entry while the windows fill.
 
         Three further specialisations keep the per-op work minimal:
 
@@ -274,24 +289,25 @@ class PipelineModel:
           appended to the fetch queue and its retire time to the ROB, so
           the width-wide dispatch/retire bandwidth groups are always the
           youngest ``width`` entries of those deques (whenever they hold
-          at least ``width`` entries, which the fast phase requires).
+          at least ``width`` entries, which both in-line phases require).
           The walker therefore maintains only the fetch-group, fetch
           queue, and ROB deques, and rebuilds the group deques from the
           tails when it spills back to the machine;
         * **saturated bodies** — once the fetch queue and ROB are both
           full they stay full (the deques are bounded), so the walker
           switches to bodies with the occupancy checks compiled out;
-        * **closed-form advance** — long compute runs fast-forward once
-          the window is width-periodic (every new fetch/dispatch/retire
-          time equals the value ``width`` instructions earlier plus one,
-          with both queues full and no stalls): the max/+ recurrences are
-          translation invariant, so ``k`` further periods add exactly
-          ``k`` cycles to every window entry and accrue zero stalls.
+        * **closed-form advance** (fast phase only: the speculative
+          phase checks the horizon before every op) — long compute runs
+          fast-forward once the window is width-periodic (every new
+          fetch/dispatch/retire time equals the value ``width``
+          instructions earlier plus one, with both queues full and no
+          stalls): the max/+ recurrences are translation invariant, so
+          ``k`` further periods add exactly ``k`` cycles to every window
+          entry and accrue zero stalls.
         """
         entries = segments.entries
         n_entries = len(entries)
         config = self.config
-        coalesce = config.coalesce_barrier_checkpoints
         width = config.width
         neg_w = -width
         fetchq_entries = config.fetchq_entries
@@ -311,19 +327,23 @@ class PipelineModel:
         epochs = self.epochs
         visible_flush = self._visible_flush
         step = self._step
-        addrs = columns.addrs
-        meta_idx = columns.meta_idx
-        metas = columns.metas
         kernel_advance = self._kernel_advance
         min_batch = self.pipeline.kernel_min_batch
         ei = 0
         while ei < n_entries:
             prefix_done = False
-            fast_ok = (
-                not epochs.speculating
-                and len(self._fetchq) >= width
-                and len(self._rob) >= width
-            )
+            fast_ok = len(self._fetchq) >= width and len(self._rob) >= width
+            if epochs.speculating:
+                if (
+                    len(self._fetchq) == fetchq_entries
+                    and len(self._rob) == rob_entries
+                ):
+                    # ---------- speculative phase (until speculation ends) ----------
+                    ei, prefix_done = self._walk_speculative(columns, entries, ei)
+                    if not prefix_done:
+                        continue
+                # entries[ei]'s event (or a filling window) goes to the slow phase
+                fast_ok = False
             if fast_ok and kernel_advance is not None:
                 # vectorized batch kernel: consumes every entry up to the
                 # next fence/pcommit/clflush/barrier plus that entry's
@@ -336,6 +356,9 @@ class PipelineModel:
                     ei = nj
                     prefix_done = True
                     fast_ok = False
+            # the phases below index entries one by one (a no-op once the
+            # lazy row view is materialised)
+            entries = entry_rows(entries)
             if fast_ok:
                 # ---------- fast phase ----------
                 fg = self._fetch_group
@@ -941,10 +964,10 @@ class PipelineModel:
                 prefix_done = True
 
             # ---------- slow phase: exact per-op stepping ----------
-            # An entry that broke out of the fast loop has had its compute
-            # prefix consumed already (prefix_done); entries processed here
-            # (under speculation or on a cold machine) step their prefixes
-            # one op at a time.
+            # An entry that broke out of the fast or speculative phase has
+            # had its compute prefix consumed already (prefix_done);
+            # entries processed here (while the windows fill) step their
+            # prefixes one op at a time.
             while ei < n_entries:
                 entry = entries[ei]
                 if not prefix_done:
@@ -952,30 +975,357 @@ class PipelineModel:
                         step(_ALU, 0, None)
                 prefix_done = False
                 kind = entry[1]
-                idx = entry[4]
                 if kind == K_TAIL:
                     ei += 1
                     break
-                if kind == K_BARRIER:
-                    self._instr_index = idx
-                    if coalesce:
-                        self._barrier()
-                    else:
-                        step(_SFENCE, 0, None)
-                        self._instr_index = idx + 1
-                        step(_PCOMMIT, 0, None)
-                        self._instr_index = idx + 2
-                        step(_SFENCE, 0, None)
-                else:
-                    self._instr_index = idx
-                    step(kind, addrs[idx], metas[meta_idx[idx]])
+                self._step_event(columns, kind, entry[4])
                 ei += 1
-                if (
-                    not epochs.speculating
-                    and len(self._fetchq) >= width
-                    and len(self._rob) >= width
-                ):
-                    break  # re-enter the fast phase at entries[ei]
+                if len(self._fetchq) >= width and len(self._rob) >= width:
+                    break  # re-enter the fast or speculative phase
+
+    def _step_event(self, columns: TraceColumns, kind: int, idx: int) -> None:
+        """Process one segment event exactly: a barrier triple (as one
+        macro-op, or as three ops without coalescing) or a single op."""
+        self._instr_index = idx
+        if kind != K_BARRIER:
+            self._step(kind, columns.addrs[idx], columns.metas[columns.meta_idx[idx]])
+        elif self.config.coalesce_barrier_checkpoints:
+            self._barrier()
+        else:
+            self._step(_SFENCE, 0, None)
+            self._instr_index = idx + 1
+            self._step(_PCOMMIT, 0, None)
+            self._instr_index = idx + 2
+            self._step(_SFENCE, 0, None)
+
+    def _walk_speculative(self, columns: TraceColumns, entries, ei: int):
+        """The speculative phase of :meth:`_run_segments`: walk
+        ``entries[ei:]`` while the machine speculates.
+
+        Between delegated ops, epochs commit only in the per-op poll
+        (:meth:`_poll_speculation`), and it acts only once ``_last_retire``
+        reaches the *horizon* — the oldest epoch's ``barrier_done``.  So
+        below the horizon compute runs, loads, and stores/clwbs/
+        clflushopts that find a free SSB slot are handled in-line with the
+        sliding-window state in locals (the fast phase's merged windows and
+        retire-slot counter).  Each op first checks the horizon; at or past
+        it the exact poll runs and the horizon is refreshed.  Everything
+        else — fences, pcommits, barrier triples, xchg/lock-rmw/clflush,
+        and a store or flush that meets a full SSB — spills the locals and
+        goes to :meth:`_step_event`, after which the horizon is refreshed
+        too.
+
+        The caller enters this phase only with the fetch queue and ROB
+        both full, which they stay (the deques are bounded), so every
+        body runs with the occupancy checks compiled out.
+
+        Returns ``(ei, prefix_done)`` once speculation has ended (or the
+        entries ran out).  ``prefix_done`` means ``entries[ei]``'s compute
+        prefix has been consumed and its event is still due — speculation
+        ended at that event's poll or inside its prefix (the rest of which
+        ran non-speculatively through :meth:`_compute_batch`).
+        """
+        entries = entry_rows(entries)
+        n_entries = len(entries)
+        config = self.config
+        width = config.width
+        neg_w = -width
+        lsq_entries = config.lsq_entries
+        depth = config.fetch_to_dispatch
+        caches = self.caches
+        caches_access = caches.access
+        l1 = caches.l1
+        l1_sets = l1._sets
+        l1_mask = l1.n_sets - 1
+        l1_shift = l1.block_bits
+        l1_latency = config.l1.latency
+        stats = self.stats
+        epochs = self.epochs
+        active = epochs.active
+        poll = self._poll_speculation
+        blt = self.blt
+        blt_add = blt._blocks.add
+        # the bloom filter's double hashing (BloomFilter._positions),
+        # inlined; its bit array is reset in place, never replaced
+        bloom = self.bloom
+        bloom_enabled = config.bloom_enabled
+        bloom_bits = bloom._bits
+        bloom_n = bloom.n_bits
+        bloom_k = range(bloom.n_hashes)
+        ssb = self.ssb
+        ssb_fifo = ssb._entries  # occupancy only: len() without a call
+        ssb_cap = ssb.capacity
+        ssb_latency = ssb.latency
+        holds_store = ssb.holds_store
+        buffer_store = epochs.buffer_store
+        buffer_flush = epochs.buffer_flush
+        while True:
+            horizon = active[0].barrier_done
+            fg = self._fetch_group
+            fetchq = self._fetchq
+            rob = self._rob
+            lsq = self._lsq
+            fg_app = fg.append
+            fq_app = fetchq.append
+            rob_app = rob.append
+            lsq_app = lsq.append
+            last_fetch = self._last_fetch
+            last_retire = self._last_retire
+            chain_ready = self._chain_ready
+            chain_issue = self._chain_issue
+            chain_block = self._chain_block
+            inflight = self._inflight_pcommits
+            ssb_peak = stats.ssb_max_occupancy
+            n_lsq = len(lsq)
+            lsq_full = n_lsq == lsq_entries
+            r_slot = 1 if rob[-1] == last_retire else 0
+            _i = 2
+            while r_slot and _i <= width and rob[-_i] == last_retire:
+                r_slot += 1
+                _i += 1
+            instr_d = 0
+            loads_d = 0
+            stores_d = 0
+            clwbs_d = 0
+            clfo_d = 0
+            stall_d = 0
+            sdp_d = 0
+            hits_d = 0
+            acc_d = 0
+            # why the walk stopped: 0 entries ran out, 1 an event to
+            # delegate, 2 speculation ended (the event at entries[ei] and
+            # run_len prefix ops are still due)
+            stop = 0
+            while ei < n_entries:
+                run_len, kind, block, mi, idx = entries[ei]
+                instr_d += run_len
+                while run_len:
+                    if last_retire >= horizon:
+                        poll(last_retire)
+                        if not active:
+                            break
+                        horizon = active[0].barrier_done
+                    run_len -= 1
+                    fetch_t = fg[0] + 1
+                    fq_ready = fetchq[0]
+                    if fq_ready > fetch_t:
+                        if fq_ready > last_fetch:
+                            stall_d += fq_ready - (
+                                fetch_t if fetch_t > last_fetch else last_fetch
+                            )
+                        fetch_t = fq_ready
+                    if fetch_t > last_fetch:
+                        last_fetch = fetch_t
+                    fg_app(fetch_t)
+                    dispatch_t = fetch_t + depth
+                    bound = fetchq[neg_w] + 1
+                    if bound > dispatch_t:
+                        dispatch_t = bound
+                    bound = rob[0]
+                    if bound > dispatch_t:
+                        dispatch_t = bound
+                    fq_app(dispatch_t)
+                    retire_t = dispatch_t + 1
+                    if retire_t > last_retire:
+                        last_retire = retire_t
+                        r_slot = 1
+                    elif r_slot < width:
+                        retire_t = last_retire
+                        r_slot += 1
+                    else:
+                        retire_t = last_retire + 1
+                        last_retire = retire_t
+                        r_slot = 1
+                    rob_app(retire_t)
+                if run_len:
+                    instr_d -= run_len
+                    stop = 2
+                    break
+                if kind == K_TAIL:
+                    ei += 1
+                    continue
+                if last_retire >= horizon:
+                    poll(last_retire)
+                    if not active:
+                        stop = 2
+                        break
+                    horizon = active[0].barrier_done
+                if kind == _LOAD:
+                    pass
+                elif (
+                    kind == _STORE or kind == _CLWB or kind == _CLFLUSHOPT
+                ) and len(ssb_fifo) < ssb_cap:
+                    pass
+                else:
+                    stop = 1
+                    break
+                # ---- inlined front end ----
+                fetch_t = fg[0] + 1
+                fq_ready = fetchq[0]
+                if fq_ready > fetch_t:
+                    if fq_ready > last_fetch:
+                        stall_d += fq_ready - (
+                            fetch_t if fetch_t > last_fetch else last_fetch
+                        )
+                    fetch_t = fq_ready
+                if fetch_t > last_fetch:
+                    last_fetch = fetch_t
+                fg_app(fetch_t)
+                dispatch_t = fetch_t + depth
+                bound = fetchq[neg_w] + 1
+                if bound > dispatch_t:
+                    dispatch_t = bound
+                bound = rob[0]
+                if bound > dispatch_t:
+                    dispatch_t = bound
+                fq_app(dispatch_t)
+                instr_d += 1
+
+                if kind == _CLWB or kind == _CLFLUSHOPT:
+                    if kind == _CLWB:
+                        clwbs_d += 1
+                    else:
+                        clfo_d += 1
+                    retire_t = dispatch_t + 1
+                else:
+                    if lsq_full:
+                        bound = lsq[0]
+                        if bound > dispatch_t:
+                            dispatch_t = bound
+                    if kind == _STORE:
+                        stores_d += 1
+                        retire_t = dispatch_t + 1
+                    else:
+                        # speculative load: BLT, bloom/SSB probe, then cache
+                        loads_d += 1
+                        if mi:
+                            issue_t = dispatch_t
+                        elif block == chain_block:
+                            issue_t = (
+                                dispatch_t if dispatch_t > chain_issue else chain_issue
+                            )
+                        else:
+                            issue_t = (
+                                dispatch_t if dispatch_t > chain_ready else chain_ready
+                            )
+                        blt_add(block)
+                        blt.records += 1
+                        cam = True  # without the filter every load searches
+                        if bloom_enabled:
+                            bloom.queries += 1
+                            h1 = (block * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                            h2 = (
+                                ((block ^ (block >> 13)) * 0xC2B2AE3D27D4EB4F)
+                                & 0xFFFFFFFFFFFFFFFF
+                            ) | 1
+                            for _k in bloom_k:
+                                pos = ((h1 + _k * h2) >> 8) % bloom_n
+                                if not bloom_bits[pos >> 3] & (1 << (pos & 7)):
+                                    cam = False
+                                    break
+                            else:
+                                bloom.hits += 1
+                        complete = issue_t
+                        tag = block >> l1_shift
+                        if cam:
+                            # pay the SSB CAM latency; forward on a real hit
+                            complete += ssb_latency
+                            if holds_store(block):
+                                tag = -1
+                            elif bloom_enabled:
+                                bloom.false_positives += 1
+                        if tag >= 0:
+                            ways = l1_sets[tag & l1_mask]
+                            if tag in ways:
+                                ways[tag] = ways.pop(tag)
+                                hits_d += 1
+                                acc_d += 1
+                                complete += l1_latency
+                            else:
+                                complete += caches_access(block, False, issue_t)
+                        if mi:
+                            pass
+                        elif block == chain_block:
+                            if chain_ready > complete:
+                                complete = chain_ready
+                        else:
+                            chain_block = block
+                            chain_issue = issue_t
+                            chain_ready = complete
+                        retire_t = complete
+                if retire_t > last_retire:
+                    last_retire = retire_t
+                    r_slot = 1
+                elif r_slot < width:
+                    retire_t = last_retire
+                    r_slot += 1
+                else:
+                    retire_t = last_retire + 1
+                    last_retire = retire_t
+                    r_slot = 1
+                rob_app(retire_t)
+                ei += 1
+                if kind == _LOAD or kind == _STORE:
+                    lsq_app(retire_t)
+                    if not lsq_full:
+                        n_lsq += 1
+                        if n_lsq == lsq_entries:
+                            lsq_full = True
+                    if kind == _LOAD:
+                        continue
+                # store / clwb / clflushopt: pcommit-overlap accounting,
+                # then into the SSB (a free slot was checked above)
+                if inflight:
+                    inflight = [t for t in inflight if t > retire_t]
+                if inflight or horizon > retire_t:
+                    sdp_d += 1
+                if kind == _STORE:
+                    blt_add(block)
+                    blt.records += 1
+                    bloom.inserts += 1
+                    h1 = (block * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                    h2 = (
+                        ((block ^ (block >> 13)) * 0xC2B2AE3D27D4EB4F)
+                        & 0xFFFFFFFFFFFFFFFF
+                    ) | 1
+                    for _k in bloom_k:
+                        pos = ((h1 + _k * h2) >> 8) % bloom_n
+                        bloom_bits[pos >> 3] |= 1 << (pos & 7)
+                    buffer_store(block)
+                else:
+                    buffer_flush(block, kind == _CLFLUSHOPT)
+                if len(ssb_fifo) > ssb_peak:
+                    ssb_peak = len(ssb_fifo)
+
+            # ---------- spill locals back to the machine ----------
+            self._last_fetch = last_fetch
+            self._last_retire = last_retire
+            self._chain_ready = chain_ready
+            self._chain_issue = chain_issue
+            self._chain_block = chain_block
+            self._inflight_pcommits = inflight
+            self._dispatch_group = deque((fetchq[i] for i in range(neg_w, 0)), width)
+            self._retire_group = deque((rob[i] for i in range(neg_w, 0)), width)
+            stats.instructions += instr_d
+            stats.loads += loads_d
+            stats.stores += stores_d
+            stats.clwbs += clwbs_d
+            stats.clflushopts += clfo_d
+            stats.fetch_stall_cycles += stall_d
+            stats.stores_during_pcommit += sdp_d
+            stats.ssb_max_occupancy = ssb_peak
+            l1.hits += hits_d
+            caches.accesses += acc_d
+            if stop == 0:
+                return ei, False
+            if stop == 2:
+                if run_len:
+                    self._compute_batch(run_len)
+                return ei, True
+            self._step_event(columns, kind, idx)
+            ei += 1
+            if not active:
+                return ei, False
 
     # ==================================================================
     # per-instruction processing
@@ -1700,14 +2050,31 @@ _INLINED_METHODS = (
     "_load_latency",
     "_visible_store",
     "_visible_flush",
+    "_buffered_store",
+    "_buffered_flush",
+    "_wait_for_ssb_space",
     "_note_store_during_pcommit",
     "_barrier",
     "_poll_speculation",
 )
 _PRISTINE = {name: PipelineModel.__dict__[name] for name in _INLINED_METHODS}
-_PRISTINE_ACCESS = CacheHierarchy.__dict__["access"]
-_PRISTINE_LOOKUP = CacheLevel.__dict__["lookup"]
-_PRISTINE_FLUSH = CacheHierarchy.__dict__["flush"]
+#: The same for the hardware-structure methods the walker inlines: the
+#: L1 hit path, the bloom filter's hashing and counters (so that, e.g.,
+#: ``bloom-drop-bits`` still bites), BLT recording, and SSB occupancy.
+_INLINED_FOREIGN = (
+    (CacheHierarchy, "access"),
+    (CacheHierarchy, "flush"),
+    (CacheLevel, "lookup"),
+    (BloomFilter, "_positions"),
+    (BloomFilter, "insert"),
+    (BloomFilter, "maybe_contains"),
+    (BloomFilter, "record_false_positive"),
+    (BlockLookupTable, "record"),
+    (SpeculativeStoreBuffer, "free_slots"),
+)
+_PRISTINE_FOREIGN = tuple(
+    (cls, name, cls.__dict__[name]) for cls, name in _INLINED_FOREIGN
+)
 
 
 def _deoptimized(model: PipelineModel) -> bool:
@@ -1719,12 +2086,9 @@ def _deoptimized(model: PipelineModel) -> bool:
     for name, func in _PRISTINE.items():
         if cls_dict.get(name) is not func:
             return True
-    if (
-        CacheHierarchy.__dict__.get("access") is not _PRISTINE_ACCESS
-        or CacheLevel.__dict__.get("lookup") is not _PRISTINE_LOOKUP
-        or CacheHierarchy.__dict__.get("flush") is not _PRISTINE_FLUSH
-    ):
-        return True
+    for cls, name, func in _PRISTINE_FOREIGN:
+        if cls.__dict__.get(name) is not func:
+            return True
     instance_dict = getattr(model, "__dict__", None)
     if instance_dict:
         for name in _INLINED_METHODS:

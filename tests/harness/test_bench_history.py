@@ -8,10 +8,13 @@ from pathlib import Path
 from repro.harness.bench import (
     BENCH_SCHEMA_VERSION,
     COMPARE_TOLERANCE,
+    SP_IPS_FLOORS,
     append_history,
+    check_floor,
     comparable,
     compare_to_history,
     load_history,
+    render_bench,
     render_compare,
 )
 
@@ -30,6 +33,10 @@ def _record(**overrides):
         "sweep_ips_by_backend": {"python": 900_000, "numpy": 1_500_000},
         "classify_ips": 3_000_000,
         "system_ips": 150_000,
+        "sp_ips": 600_000,
+        "sp_instructions": 72_000,
+        "sp_seconds": 0.12,
+        "sp_ips_by_backend": {"python": 600_000, "numpy": 650_000},
     }
     record.update(overrides)
     return record
@@ -182,3 +189,27 @@ class TestCompare:
         assert "system_ips" in text
         empty = render_compare(compare_to_history(_record(), []))
         assert "no comparable history" in empty
+
+
+class TestSpeculativeCell:
+    """The SP256 sustained cell: tracked, floored and printed."""
+
+    def test_sp_regression_flagged_per_backend(self):
+        current = _record(sp_ips_by_backend={"python": 600_000, "numpy": 300_000})
+        result = compare_to_history(current, [_record(git_rev="prior")])
+        assert [f.split(":")[0] for f in result["regressions"]] == [
+            "sp_ips_by_backend/numpy"
+        ]
+
+    def test_floor_enforced_per_measured_backend(self):
+        assert check_floor(_record()) is None
+        slow = SP_IPS_FLOORS["python"] - 1
+        error = check_floor(_record(sp_ips_by_backend={"python": slow}))
+        assert "speculative throughput regression (python backend)" in error
+        # pre-v9 records carry no SP cell: nothing to enforce
+        assert check_floor(_record(sp_ips_by_backend=None)) is None
+
+    def test_summary_prints_the_cell(self):
+        text = render_bench(_record())
+        assert "speculative SP256 :  600,000 instr/s sustained" in text
+        assert "numpy           :  650,000 instr/s sustained" in text
